@@ -82,6 +82,13 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
     done(gtid, false);
     return;
   }
+  if (auto it = decided_.find(gtid); it != decided_.end()) {
+    // A resolution round at this site (its own agent escalated, or an
+    // inquiry reached AnswerInquiry) sealed the outcome before the
+    // coordinator asked; Finish will not run again, so answer now.
+    done(gtid, it->second);
+    return;
+  }
   LeaderTxn& l = leaders_[gtid];
   if (l.participants.empty()) l.participants = participants;
   l.decide_requested = true;

@@ -1,120 +1,119 @@
 #include "history/graphs.h"
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <unordered_set>
+
 #include "common/str.h"
 
 namespace hermes::history {
 
 namespace {
 
-bool IsWriteKind(OpKind k) {
-  return k == OpKind::kWrite || k == OpKind::kDelete;
-}
-bool IsDataKind(OpKind k) { return IsWriteKind(k) || k == OpKind::kRead; }
-
-enum class VisitState : uint8_t { kUnvisited, kInProgress, kDone };
-
-// DFS cycle search returning the cycle path when found.
-bool Dfs(const std::map<TxnId, std::set<TxnId>>& adj, const TxnId& node,
-         std::map<TxnId, VisitState>& state, std::vector<TxnId>& stack,
-         std::vector<TxnId>& cycle) {
-  state[node] = VisitState::kInProgress;
-  stack.push_back(node);
-  auto it = adj.find(node);
-  if (it != adj.end()) {
-    for (const TxnId& next : it->second) {
-      const VisitState s = state.count(next) ? state[next]
-                                             : VisitState::kUnvisited;
-      if (s == VisitState::kInProgress) {
-        // Extract cycle from stack.
-        auto start = std::find(stack.begin(), stack.end(), next);
-        cycle.assign(start, stack.end());
-        cycle.push_back(next);
-        return true;
-      }
-      if (s == VisitState::kUnvisited &&
-          Dfs(adj, next, state, stack, cycle)) {
-        return true;
-      }
-    }
-  }
-  stack.pop_back();
-  state[node] = VisitState::kDone;
-  return false;
+bool IsDataKind(OpKind k) {
+  return k == OpKind::kRead || k == OpKind::kWrite || k == OpKind::kDelete;
 }
 
 }  // namespace
 
-void TxnGraph::AddNode(const TxnId& id) { adj_[id]; }
+uint32_t TxnGraph::Intern(const TxnId& id) {
+  auto [it, inserted] =
+      index_.try_emplace(id, static_cast<uint32_t>(ids_.size()));
+  if (inserted) {
+    ids_.push_back(id);
+    out_.emplace_back();
+  }
+  return it->second;
+}
 
 void TxnGraph::AddEdge(const TxnId& from, const TxnId& to) {
   if (from == to) return;
-  adj_[from].insert(to);
-  adj_[to];
+  const uint32_t f = Intern(from);
+  const uint32_t t = Intern(to);
+  std::vector<uint32_t>& out = out_[f];
+  if (out.empty() || out.back() != t) out.push_back(t);
 }
 
 bool TxnGraph::HasEdge(const TxnId& from, const TxnId& to) const {
-  auto it = adj_.find(from);
-  return it != adj_.end() && it->second.count(to) != 0;
+  auto f = index_.find(from);
+  auto t = index_.find(to);
+  if (f == index_.end() || t == index_.end()) return false;
+  const std::vector<uint32_t>& out = out_[f->second];
+  return std::find(out.begin(), out.end(), t->second) != out.end();
 }
-
-size_t TxnGraph::edge_count() const {
-  size_t n = 0;
-  for (const auto& [node, out] : adj_) n += out.size();
-  return n;
-}
-
-bool TxnGraph::HasCycle() const { return FindCycle().has_value(); }
 
 std::optional<std::vector<TxnId>> TxnGraph::FindCycle() const {
-  std::map<TxnId, VisitState> state;
-  std::vector<TxnId> stack, cycle;
-  for (const auto& [node, out] : adj_) {
-    if (state.count(node) == 0 || state[node] == VisitState::kUnvisited) {
-      if (Dfs(adj_, node, state, stack, cycle)) return cycle;
-      stack.clear();
+  enum : uint8_t { kUnvisited, kInProgress, kDone };
+  std::vector<uint8_t> state(ids_.size(), kUnvisited);
+  // Iterative DFS: (node, index of its next out-edge to follow).
+  std::vector<std::pair<uint32_t, size_t>> stack;
+  for (uint32_t root = 0; root < ids_.size(); ++root) {
+    if (state[root] != kUnvisited) continue;
+    state[root] = kInProgress;
+    stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      auto& [node, next] = stack.back();
+      if (next == out_[node].size()) {
+        state[node] = kDone;
+        stack.pop_back();
+        continue;
+      }
+      const uint32_t to = out_[node][next++];
+      if (state[to] == kInProgress) {
+        // `to` is on the stack: the cycle is the stack from it onwards.
+        auto start = std::find_if(
+            stack.begin(), stack.end(),
+            [to](const auto& frame) { return frame.first == to; });
+        std::vector<TxnId> cycle;
+        for (auto it = start; it != stack.end(); ++it) {
+          cycle.push_back(ids_[it->first]);
+        }
+        cycle.push_back(ids_[to]);
+        return cycle;
+      }
+      if (state[to] == kUnvisited) {
+        state[to] = kInProgress;
+        stack.emplace_back(to, 0);
+      }
     }
   }
   return std::nullopt;
 }
 
 std::optional<std::vector<TxnId>> TxnGraph::TopologicalOrder() const {
-  std::map<TxnId, int> indegree;
-  for (const auto& [node, out] : adj_) indegree[node];
-  for (const auto& [node, out] : adj_) {
-    for (const TxnId& t : out) ++indegree[t];
+  std::vector<uint32_t> indegree(ids_.size(), 0);
+  for (const auto& out : out_) {
+    for (uint32_t t : out) ++indegree[t];
   }
-  std::vector<TxnId> ready;
-  for (const auto& [node, d] : indegree) {
-    if (d == 0) ready.push_back(node);
+  // Kahn's algorithm on a min-heap, so the smallest ready id is emitted
+  // first (deterministic, independent of insertion order).
+  using Ready = std::pair<TxnId, uint32_t>;
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  for (uint32_t i = 0; i < ids_.size(); ++i) {
+    if (indegree[i] == 0) ready.emplace(ids_[i], i);
   }
   std::vector<TxnId> order;
-  order.reserve(adj_.size());
+  order.reserve(ids_.size());
   while (!ready.empty()) {
-    // Pop the smallest id for determinism.
-    auto min_it = std::min_element(ready.begin(), ready.end());
-    TxnId node = *min_it;
-    ready.erase(min_it);
-    order.push_back(node);
-    auto it = adj_.find(node);
-    if (it != adj_.end()) {
-      for (const TxnId& t : it->second) {
-        if (--indegree[t] == 0) ready.push_back(t);
-      }
+    const uint32_t node = ready.top().second;
+    ready.pop();
+    order.push_back(ids_[node]);
+    for (uint32_t t : out_[node]) {
+      if (--indegree[t] == 0) ready.emplace(ids_[t], t);
     }
   }
-  if (order.size() != adj_.size()) return std::nullopt;
+  if (order.size() != ids_.size()) return std::nullopt;
   return order;
 }
 
 std::string TxnGraph::ToString() const {
   std::string out;
-  for (const auto& [node, edges] : adj_) {
-    StrAppend(out, node.ToString(), " -> {");
-    bool first = true;
-    for (const TxnId& t : edges) {
-      if (!first) out += ", ";
-      first = false;
-      out += t.ToString();
+  for (size_t node = 0; node < ids_.size(); ++node) {
+    StrAppend(out, ids_[node].ToString(), " -> {");
+    for (size_t i = 0; i < out_[node].size(); ++i) {
+      if (i > 0) out += ", ";
+      out += ids_[out_[node][i]].ToString();
     }
     out += "}\n";
   }
@@ -123,22 +122,24 @@ std::string TxnGraph::ToString() const {
 
 TxnGraph BuildSerializationGraph(const std::vector<Op>& ops) {
   TxnGraph g;
-  // Group data ops per item, in order.
-  std::map<ItemId, std::vector<const Op*>> per_item;
+  // Per item: the last writer and the readers since that write.
+  struct ItemState {
+    std::optional<TxnId> last_write;
+    std::vector<TxnId> reads;
+  };
+  std::unordered_map<ItemId, ItemState, ItemIdHash> items;
   for (const Op& op : ops) {
-    if (IsDataKind(op.kind)) per_item[op.item].push_back(&op);
-    g.AddNode(op.subtxn.txn);
-  }
-  for (const auto& [item, item_ops] : per_item) {
-    for (size_t i = 0; i < item_ops.size(); ++i) {
-      for (size_t j = i + 1; j < item_ops.size(); ++j) {
-        const Op& a = *item_ops[i];
-        const Op& b = *item_ops[j];
-        if (a.subtxn.txn == b.subtxn.txn) continue;
-        if (IsWriteKind(a.kind) || IsWriteKind(b.kind)) {
-          g.AddEdge(a.subtxn.txn, b.subtxn.txn);
-        }
-      }
+    const TxnId& t = op.subtxn.txn;
+    g.AddNode(t);
+    if (!IsDataKind(op.kind)) continue;
+    ItemState& s = items[op.item];
+    if (s.last_write) g.AddEdge(*s.last_write, t);
+    if (op.kind == OpKind::kRead) {
+      if (s.reads.empty() || s.reads.back() != t) s.reads.push_back(t);
+    } else {
+      for (const TxnId& r : s.reads) g.AddEdge(r, t);
+      s.reads.clear();
+      s.last_write = t;
     }
   }
   return g;
@@ -152,24 +153,21 @@ TxnGraph BuildCommitOrderGraph(const std::vector<Op>& ops) {
   // SN-certified commit order — so the per-site total-order invariant does
   // not apply to them. They stay in C(H) and are still judged by the
   // atomicity, replay and view-serializability oracles.
-  std::set<TxnId> migrated;
+  std::unordered_set<TxnId> migrated;
   for (const Op& op : ops) {
     if (op.kind == OpKind::kMigrateOut) migrated.insert(op.subtxn.txn);
   }
-  // Per site, the sequence of local commits in order.
-  std::map<SiteId, std::vector<TxnId>> commits;
+  // Per site, the previous local commit: each commit gets one arc from it.
+  std::unordered_map<SiteId, TxnId> last;
   for (const Op& op : ops) {
-    if (op.kind == OpKind::kLocalCommit) {
-      if (migrated.count(op.subtxn.txn) != 0) continue;
-      commits[op.site].push_back(op.subtxn.txn);
-      g.AddNode(op.subtxn.txn);
-    }
-  }
-  for (const auto& [site, seq] : commits) {
-    for (size_t i = 0; i < seq.size(); ++i) {
-      for (size_t j = i + 1; j < seq.size(); ++j) {
-        g.AddEdge(seq[i], seq[j]);
-      }
+    if (op.kind != OpKind::kLocalCommit) continue;
+    const TxnId& t = op.subtxn.txn;
+    if (migrated.count(t) != 0) continue;
+    g.AddNode(t);
+    auto [it, first] = last.try_emplace(op.site, t);
+    if (!first) {
+      g.AddEdge(it->second, t);
+      it->second = t;
     }
   }
   return g;

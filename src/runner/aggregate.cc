@@ -111,6 +111,10 @@ void CellAggregate::AddRun(uint64_t seed, const workload::RunResult& r) {
        !r.commit_graph_acyclic || !r.atomicity_ok ||
        r.verdict == history::Verdict::kNotSerializable);
   Add("violations", violated ? 1.0 : 0.0);
+  // Counted, not gated: the oracle could neither certify nor refute.
+  Add("oracle_unknown",
+      r.history_checked && r.verdict == history::Verdict::kUnknown ? 1.0
+                                                                   : 0.0);
   latency.Merge(m.latency_hist);
   series.Merge(r.series);
 }

@@ -328,6 +328,44 @@ TEST_F(PaxosHarnessTest, ResolverRefusesCommitWhenAVoteIsMissing) {
   EXPECT_FALSE(decisions_[g]);
 }
 
+TEST_F(PaxosHarnessTest, DecideAfterResolutionAtCoordinatorSiteAnswersOnce) {
+  // A resolution round at the coordinator's own site (its agent escalated)
+  // seals the outcome while the coordinator still waits for a vote; when
+  // the coordinator then calls Decide, its callback must fire exactly once
+  // with the chosen outcome — in both modes that wait for consensus.
+  struct Case {
+    TxnId gtid;
+    consensus::DecideMode mode;
+    bool both_vote;
+  };
+  for (const Case& c :
+       {Case{TxnId::MakeGlobal(0, 4), consensus::DecideMode::kCommit, true},
+        Case{TxnId::MakeGlobal(0, 5), consensus::DecideMode::kAbortTimeout,
+             false}}) {
+    nodes_[0]->BeginDecision(c.gtid, {1, 2});
+    nodes_[1]->BroadcastVote(c.gtid, /*ready=*/true, /*leader=*/0);
+    if (c.both_vote) {
+      nodes_[2]->BroadcastVote(c.gtid, /*ready=*/true, /*leader=*/0);
+    }
+    Drain();
+    nodes_[0]->Escalate(c.gtid, /*coordinator=*/0, /*attempt=*/0);
+    Drain();
+    ASSERT_TRUE(decisions_.count(c.gtid));
+
+    int calls = 0;
+    bool outcome = !c.both_vote;
+    nodes_[0]->Decide(c.gtid, c.mode, {1, 2}, /*csn=*/-1,
+                      [&](const TxnId& gtid, bool commit) {
+                        EXPECT_EQ(gtid, c.gtid);
+                        ++calls;
+                        outcome = commit;
+                      });
+    Drain();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(outcome, c.both_vote);
+  }
+}
+
 // --- full workload under chaos ----------------------------------------------
 
 TEST(PaxosWorkload, ChaosPlansStayAtomicAndSerializable) {

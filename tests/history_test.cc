@@ -10,6 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/str.h"
+
 #include "history/graphs.h"
 #include "history/projection.h"
 #include "history/recorder.h"
@@ -261,8 +273,12 @@ TEST(PaperHistories, H2CommitOrderGraphIsCyclic) {
   const TxnGraph cg = BuildCommitOrderGraph(committed);
   EXPECT_TRUE(cg.HasCycle()) << cg.ToString();
   // The cycle runs through T1 and T3 (commits reversed across a and b).
-  EXPECT_TRUE(cg.HasEdge(Sub(3, 0).txn, Sub(1, 0).txn));
-  EXPECT_TRUE(cg.HasEdge(Sub(1, 0).txn, Sub(3, 0).txn));
+  const auto cycle = cg.FindCycle();
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_NE(std::find(cycle->begin(), cycle->end(), Sub(1, 0).txn),
+            cycle->end());
+  EXPECT_NE(std::find(cycle->begin(), cycle->end(), Sub(3, 0).txn),
+            cycle->end());
 }
 
 // --- H3: local view distortion, indirect conflicts only (section 5.1) -------
@@ -493,6 +509,411 @@ TEST(Graphs, CommitOrderGraphExemptsMigratedTransactions) {
   std::erase_if(unmarked,
                 [](const Op& op) { return op.kind == OpKind::kMigrateOut; });
   EXPECT_TRUE(BuildCommitOrderGraph(unmarked).HasCycle());
+}
+
+// --- reduced graphs against the paper's pairwise graphs ---------------------
+
+// The paper's CG and SG with every pairwise arc, ordered by Kahn's algorithm
+// emitting the smallest ready id: the reference the reduced builders and the
+// oracle's certificates must agree with.
+using PairwiseGraph = std::map<TxnId, std::set<TxnId>>;
+
+PairwiseGraph PairwiseSerializationGraph(const std::vector<Op>& ops) {
+  PairwiseGraph g;
+  std::map<ItemId, std::vector<const Op*>> per_item;
+  for (const Op& op : ops) {
+    g[op.subtxn.txn];
+    if (op.kind == OpKind::kRead || op.kind == OpKind::kWrite ||
+        op.kind == OpKind::kDelete) {
+      per_item[op.item].push_back(&op);
+    }
+  }
+  for (const auto& [item, item_ops] : per_item) {
+    for (size_t i = 0; i < item_ops.size(); ++i) {
+      for (size_t j = i + 1; j < item_ops.size(); ++j) {
+        const Op& a = *item_ops[i];
+        const Op& b = *item_ops[j];
+        if (a.subtxn.txn == b.subtxn.txn) continue;
+        if (a.kind != OpKind::kRead || b.kind != OpKind::kRead) {
+          g[a.subtxn.txn].insert(b.subtxn.txn);
+        }
+      }
+    }
+  }
+  return g;
+}
+
+PairwiseGraph PairwiseCommitOrderGraph(const std::vector<Op>& ops) {
+  std::set<TxnId> migrated;
+  for (const Op& op : ops) {
+    if (op.kind == OpKind::kMigrateOut) migrated.insert(op.subtxn.txn);
+  }
+  PairwiseGraph g;
+  std::map<SiteId, std::vector<TxnId>> commits;
+  for (const Op& op : ops) {
+    if (op.kind != OpKind::kLocalCommit) continue;
+    if (migrated.count(op.subtxn.txn) != 0) continue;
+    commits[op.site].push_back(op.subtxn.txn);
+    g[op.subtxn.txn];
+  }
+  for (const auto& [site, seq] : commits) {
+    for (size_t i = 0; i < seq.size(); ++i) {
+      for (size_t j = i + 1; j < seq.size(); ++j) {
+        if (seq[i] != seq[j]) g[seq[i]].insert(seq[j]);
+      }
+    }
+  }
+  return g;
+}
+
+std::optional<std::vector<TxnId>> PairwiseTopologicalOrder(
+    const PairwiseGraph& g) {
+  std::map<TxnId, int> indegree;
+  for (const auto& [node, out] : g) {
+    indegree[node];
+    for (const TxnId& t : out) ++indegree[t];
+  }
+  std::set<TxnId> ready;
+  for (const auto& [node, d] : indegree) {
+    if (d == 0) ready.insert(node);
+  }
+  std::vector<TxnId> order;
+  while (!ready.empty()) {
+    const TxnId node = *ready.begin();
+    ready.erase(ready.begin());
+    order.push_back(node);
+    for (const TxnId& t : g.at(node)) {
+      if (--indegree[t] == 0) ready.insert(t);
+    }
+  }
+  if (order.size() != g.size()) return std::nullopt;
+  return order;
+}
+
+// CheckViewSerializability's certificate sequence — CG order, SG order,
+// then exhaustive search — over the pairwise graphs.
+ViewCheckResult PairwiseViewCheck(const std::vector<Op>& committed,
+                                  size_t max_txns) {
+  ViewCheckResult result;
+  std::map<TxnId, std::vector<const Op*>> groups;
+  std::vector<TxnId> txns;
+  for (const Op& op : committed) {
+    auto [it, inserted] = groups.try_emplace(op.subtxn.txn);
+    if (inserted) txns.push_back(op.subtxn.txn);
+    it->second.push_back(&op);
+  }
+  if (txns.empty()) {
+    result.verdict = Verdict::kSerializable;
+    return result;
+  }
+  std::map<uint64_t, db::VersionTag> recorded;
+  for (const Op& op : committed) {
+    if (op.kind != OpKind::kRead) continue;
+    recorded[op.seq] = op.version;
+    if (!op.version.initial() && groups.count(op.version.writer.txn) == 0) {
+      result.verdict = Verdict::kNotSerializable;
+      result.reason =
+          StrCat(op.ToString(), " reads from a transaction outside C(H)");
+      return result;
+    }
+  }
+  std::vector<const Op*> h_order;
+  for (const Op& op : committed) h_order.push_back(&op);
+  const auto finals = Replay(h_order).final_versions;
+
+  std::string first_mismatch;
+  auto try_order = [&](const std::vector<TxnId>& order) {
+    ++result.orders_tried;
+    std::vector<const Op*> layout;
+    for (const TxnId& t : order) {
+      layout.insert(layout.end(), groups.at(t).begin(), groups.at(t).end());
+    }
+    const ReplayOutcome r = Replay(layout);
+    std::string mismatch;
+    for (const auto& [seq, tag] : recorded) {
+      const db::VersionTag& got = r.reads_from.at(seq);
+      if (!(got == tag)) {
+        mismatch = StrCat("read op#", seq, " observed ", tag.ToString(),
+                          " in H but ", got.ToString(), " in the serial order");
+        break;
+      }
+    }
+    for (const auto& [item, tag] : finals) {
+      if (!mismatch.empty()) break;
+      auto it = r.final_versions.find(item);
+      const db::VersionTag got =
+          it == r.final_versions.end() ? db::VersionTag{} : it->second;
+      if (!(got == tag)) {
+        mismatch = StrCat("final write of ", item.ToString(), " is ",
+                          tag.ToString(), " in H but ", got.ToString(),
+                          " in the serial order");
+      }
+    }
+    if (mismatch.empty()) {
+      result.verdict = Verdict::kSerializable;
+      result.witness = order;
+      return true;
+    }
+    if (first_mismatch.empty()) first_mismatch = std::move(mismatch);
+    return false;
+  };
+  if (auto topo =
+          PairwiseTopologicalOrder(PairwiseCommitOrderGraph(committed))) {
+    const std::set<TxnId> seen(topo->begin(), topo->end());
+    for (const TxnId& t : txns) {
+      if (seen.count(t) == 0) topo->push_back(t);
+    }
+    if (try_order(*topo)) return result;
+  }
+  if (auto topo =
+          PairwiseTopologicalOrder(PairwiseSerializationGraph(committed))) {
+    if (try_order(*topo)) return result;
+  }
+  if (txns.size() > max_txns) {
+    result.verdict = Verdict::kUnknown;
+    result.reason = StrCat("too many transactions (", txns.size(),
+                           ") for exhaustive search");
+    return result;
+  }
+  std::vector<TxnId> order(txns);
+  std::sort(order.begin(), order.end());
+  do {
+    if (try_order(order)) return result;
+  } while (std::next_permutation(order.begin(), order.end()));
+  result.verdict = Verdict::kNotSerializable;
+  result.reason = StrCat("no serial order of ", txns.size(),
+                         " transactions is view-equivalent (",
+                         result.orders_tried, " orders tried); e.g. ",
+                         first_mismatch);
+  return result;
+}
+
+// A random interleaving of global transactions (subtransactions at one to
+// three sites, prepared, then globally aborted or committed with local
+// commits; a prepared subtransaction may abort unilaterally and be
+// resubmitted) and local transactions (committed or aborted). Reads observe
+// the latest surviving version; a local abort rolls its writes back.
+std::vector<Op> RandomHistory(uint64_t seed, int max_txns) {
+  std::mt19937_64 rng(seed);
+  auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto chance = [&rng](double p) {
+    return std::bernoulli_distribution(p)(rng);
+  };
+  const int num_sites = uniform(2, 4);
+  const int items_per_site = uniform(2, 5);
+
+  HistoryBuilder h;
+  std::map<ItemId, std::vector<db::VersionTag>> versions;
+  struct DataOp {
+    ItemId item;
+    bool write = false;
+    bool is_delete = false;
+  };
+  auto run = [&h, &versions](const SubTxnId& sub, const DataOp& d) {
+    std::vector<db::VersionTag>& stack = versions[d.item];
+    if (!d.write) {
+      h.Read(sub, d.item, stack.empty() ? db::VersionTag{} : stack.back());
+    } else {
+      stack.push_back(h.Write(sub, d.item, d.is_delete));
+    }
+  };
+  auto rollback = [&h, &versions](const SubTxnId& sub, SiteId site,
+                                  bool unilateral) {
+    h.LocalAbort(sub, site, unilateral);
+    for (auto& [item, stack] : versions) {
+      if (item.site != site) continue;
+      std::erase_if(stack, [&](const db::VersionTag& v) {
+        return v.writer == sub;
+      });
+    }
+  };
+  auto random_ops = [&](SiteId site) {
+    std::vector<DataOp> ops(static_cast<size_t>(uniform(1, 3)));
+    for (DataOp& d : ops) {
+      d.item = h.Item(site, uniform(0, items_per_site - 1));
+      d.write = chance(0.5);
+      d.is_delete = d.write && chance(0.1);
+    }
+    return ops;
+  };
+
+  // One action script per transaction, interleaved at random below.
+  std::vector<std::vector<std::function<void()>>> scripts;
+  const int globals = uniform(1, max_txns);
+  for (int k = 1; k <= globals; ++k) {
+    std::vector<SiteId> sites;
+    for (SiteId s = 0; s < num_sites; ++s) {
+      if (chance(0.5)) sites.push_back(s);
+    }
+    if (sites.empty()) sites.push_back(uniform(0, num_sites - 1));
+    std::vector<std::function<void()>> script;
+    const SubTxnId first = Sub(k, 0), resubmitted = Sub(k, 1);
+    for (SiteId s : sites) {
+      for (const DataOp& d : random_ops(s)) {
+        script.push_back([=] { run(first, d); });
+      }
+    }
+    for (SiteId s : sites) script.push_back([=, &h] { h.Prepare(first, s); });
+    if (chance(0.15)) {
+      script.push_back([=, &h] { h.GlobalAbort(first.txn); });
+      for (SiteId s : sites) {
+        script.push_back([=] { rollback(first, s, /*unilateral=*/false); });
+      }
+    } else {
+      script.push_back([=, &h] { h.GlobalCommit(first.txn); });
+      for (SiteId s : sites) {
+        if (chance(0.25)) {
+          script.push_back([=] { rollback(first, s, /*unilateral=*/true); });
+          for (const DataOp& d : random_ops(s)) {
+            script.push_back([=] { run(resubmitted, d); });
+          }
+          script.push_back([=, &h] { h.LocalCommit(resubmitted, s); });
+        } else {
+          script.push_back([=, &h] { h.LocalCommit(first, s); });
+        }
+      }
+    }
+    scripts.push_back(std::move(script));
+  }
+  const int locals = uniform(0, max_txns / 2);
+  for (int k = 1; k <= locals; ++k) {
+    const SiteId s = uniform(0, num_sites - 1);
+    const SubTxnId l = Local(s, k);
+    std::vector<std::function<void()>> script;
+    for (const DataOp& d : random_ops(s)) {
+      script.push_back([=] { run(l, d); });
+    }
+    if (chance(0.15)) {
+      script.push_back([=] { rollback(l, s, /*unilateral=*/false); });
+    } else {
+      script.push_back([=, &h] { h.LocalCommit(l, s); });
+    }
+    scripts.push_back(std::move(script));
+  }
+
+  std::vector<size_t> next(scripts.size(), 0);
+  std::vector<size_t> live(scripts.size());
+  std::iota(live.begin(), live.end(), size_t{0});
+  while (!live.empty()) {
+    const size_t pick = static_cast<size_t>(
+        uniform(0, static_cast<int>(live.size()) - 1));
+    const size_t t = live[pick];
+    scripts[t][next[t]++]();
+    if (next[t] == scripts[t].size()) live.erase(live.begin() + pick);
+  }
+  return h.ops();
+}
+
+TEST(Graphs, ReducedGraphsAgreeWithPairwiseGraphsOnRandomHistories) {
+  std::map<std::string, int> seen;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<Op> ops = RandomHistory(seed, seed % 3 == 0 ? 24 : 5);
+    const std::vector<Op> committed = CommittedProjection(ops);
+    ASSERT_EQ(VerifyReplayMatchesRecorded(ops), "");
+    for (const std::vector<Op>* h : {&ops, &committed}) {
+      const TxnGraph cg = BuildCommitOrderGraph(*h);
+      const TxnGraph sg = BuildSerializationGraph(*h);
+      const auto cg_order =
+          PairwiseTopologicalOrder(PairwiseCommitOrderGraph(*h));
+      const auto sg_order =
+          PairwiseTopologicalOrder(PairwiseSerializationGraph(*h));
+      EXPECT_EQ(cg.HasCycle(), !cg_order.has_value());
+      EXPECT_EQ(sg.HasCycle(), !sg_order.has_value());
+      EXPECT_TRUE(cg.TopologicalOrder() == cg_order);
+      EXPECT_TRUE(sg.TopologicalOrder() == sg_order);
+      for (const TxnGraph* g : {&cg, &sg}) {
+        const auto cycle = g->FindCycle();
+        if (!cycle) continue;
+        ASSERT_GE(cycle->size(), 3u);
+        EXPECT_EQ(cycle->front(), cycle->back());
+        for (size_t i = 0; i + 1 < cycle->size(); ++i) {
+          EXPECT_TRUE(g->HasEdge((*cycle)[i], (*cycle)[i + 1]));
+        }
+      }
+      ++seen[cg_order ? "cg-acyclic" : "cg-cyclic"];
+      ++seen[sg_order ? "sg-acyclic" : "sg-cyclic"];
+    }
+    const ViewCheckResult got = CheckViewSerializability(committed, 5);
+    const ViewCheckResult want = PairwiseViewCheck(committed, 5);
+    EXPECT_EQ(got.verdict, want.verdict);
+    EXPECT_EQ(got.witness, want.witness);
+    EXPECT_EQ(got.reason, want.reason);
+    EXPECT_EQ(got.orders_tried, want.orders_tried);
+    ++seen[VerdictName(got.verdict)];
+  }
+  // The histories exercise both answers of every check.
+  for (const char* key :
+       {"cg-acyclic", "cg-cyclic", "sg-acyclic", "sg-cyclic",
+        "VIEW-SERIALIZABLE", "NOT-VIEW-SERIALIZABLE", "UNKNOWN"}) {
+    EXPECT_GT(seen[key], 0) << key;
+  }
+}
+
+// `n` global transactions over 4 sites, executed one after another: T_k
+// reads one item at site k%4 and writes one there and one at site (k+1)%4,
+// so T_k and T_k+4 share both sites. With `invert` >= 0, T_invert's local
+// commit at its first site is delayed past T_invert+4's: one cross-site
+// commit inversion. Prepares are left out; no check below reads them.
+std::vector<Op> LargeHistory(int n, int invert) {
+  constexpr int kSites = 4, kKeys = 16;
+  HistoryBuilder h;
+  std::map<ItemId, db::VersionTag> latest;
+  std::optional<SubTxnId> delayed;
+  for (int k = 0; k < n; ++k) {
+    const SubTxnId t = Sub(k);
+    const SiteId s0 = k % kSites, s1 = (k + 1) % kSites;
+    const ItemId read = h.Item(s0, (k + 1) % kKeys);
+    h.Read(t, read, latest[read]);
+    for (SiteId s : {s0, s1}) {
+      const ItemId item = h.Item(s, k % kKeys);
+      latest[item] = h.Write(t, item);
+    }
+    h.GlobalCommit(t.txn);
+    if (k == invert) {
+      delayed = t;
+    } else {
+      h.LocalCommit(t, s0);
+    }
+    h.LocalCommit(t, s1);
+    if (delayed && k == invert + kSites) {
+      h.LocalCommit(*delayed, s0);
+      delayed.reset();
+    }
+  }
+  return h.ops();
+}
+
+TEST(LargeHistory, AlignedCommitOrdersAreSerializable) {
+  constexpr int kTxns = 100'000;
+  const std::vector<Op> ops = LargeHistory(kTxns, /*invert=*/-1);
+  EXPECT_TRUE(CommitGraphAcyclic(ops));
+  const ViewCheckResult check = CheckViewSerializability(ops);
+  EXPECT_EQ(check.verdict, Verdict::kSerializable) << check.reason;
+  EXPECT_EQ(check.witness.size(), static_cast<size_t>(kTxns));
+  EXPECT_EQ(check.orders_tried, 1u);
+}
+
+TEST(LargeHistory, OneCommitInversionMakesTheCommitGraphCyclic) {
+  constexpr int kTxns = 100'000, kInverted = kTxns / 2;
+  const std::vector<Op> ops = LargeHistory(kTxns, kInverted);
+  EXPECT_FALSE(CommitGraphAcyclic(ops));
+  const TxnGraph cg = BuildCommitOrderGraph(ops);
+  const auto cycle = cg.FindCycle();
+  ASSERT_TRUE(cycle.has_value());
+  ASSERT_GE(cycle->size(), 3u);
+  EXPECT_EQ(cycle->front(), cycle->back());
+  for (size_t i = 0; i + 1 < cycle->size(); ++i) {
+    EXPECT_TRUE(cg.HasEdge((*cycle)[i], (*cycle)[i + 1]));
+  }
+  // Every other arc points forward in transaction order, so the cycle must
+  // take the inverted arc T_inverted+4 -> T_inverted.
+  for (const int k : {kInverted, kInverted + 4}) {
+    EXPECT_NE(std::find(cycle->begin(), cycle->end(), Sub(k).txn),
+              cycle->end());
+  }
 }
 
 // --- replay -------------------------------------------------------------------
