@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/str.h"
 
@@ -17,8 +18,8 @@ constexpr FaultKind kAllFaultKinds[] = {
 constexpr TriggerKind kAllTriggerKinds[] = {TriggerKind::kAtTime,
                                             TriggerKind::kOnPrepared};
 
-// loss_prob is encoded in permille so the JSON stays integer-only (the
-// repo's parsers never deal in floating point text).
+// loss_prob is encoded in permille so the fault-plan JSON stays
+// integer-only (docs/FORMATS.md §3).
 int64_t ToPermille(double p) {
   return static_cast<int64_t>(p * 1000.0 + (p >= 0 ? 0.5 : -0.5));
 }
@@ -87,153 +88,43 @@ std::string FaultPlan::ToJsonl() const {
 
 namespace {
 
-// Single-line parser mirroring trace::ParseJsonl's hand-rolled style.
-class EventParser {
- public:
-  explicit EventParser(std::string_view line) : in_(line) {}
-
-  Status Parse(FaultEvent& out) {
-    SkipSpace();
-    if (!Consume('{')) return Err("expected '{'");
-    SkipSpace();
-    if (Consume('}')) return Status::Ok();
-    while (true) {
-      SkipSpace();
-      std::string key;
-      Status s = ParseString(key);
-      if (!s.ok()) return s;
-      SkipSpace();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipSpace();
-      s = ParseValue(key, out);
-      if (!s.ok()) return s;
-      SkipSpace();
-      if (Consume('}')) break;
-      if (!Consume(',')) return Err("expected ',' or '}'");
-    }
-    SkipSpace();
-    if (pos_ != in_.size()) return Err("trailing characters");
-    return Status::Ok();
-  }
-
- private:
-  Status ParseValue(const std::string& key, FaultEvent& out) {
+// Appends the fault event on one JSONL line to `out`.
+bool ReadFaultEvent(JsonReader& r, std::vector<FaultEvent>& out) {
+  FaultEvent ev;
+  const bool ok = r.FlatObject([&](std::string_view key) {
     if (key == "kind") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (FaultKind k : kAllFaultKinds) {
-        if (name == FaultKindName(k)) {
-          out.kind = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown fault kind: ", name));
+      return r.Name(kAllFaultKinds, FaultKindName, "fault kind", ev.kind);
     }
     if (key == "trigger") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (TriggerKind k : kAllTriggerKinds) {
-        if (name == TriggerKindName(k)) {
-          out.trigger = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown trigger kind: ", name));
+      return r.Name(kAllTriggerKinds, TriggerKindName, "trigger kind",
+                    ev.trigger);
     }
-    if (key == "at") return ParseInt(out.at);
-    if (key == "watch_site") return ParseInt32(out.watch_site);
-    if (key == "nth") return ParseInt32(out.nth);
-    if (key == "site") return ParseInt32(out.site);
-    if (key == "peer") return ParseInt32(out.peer);
-    if (key == "duration") return ParseInt(out.duration);
+    if (key == "at") return r.Int64(ev.at);
+    if (key == "watch_site") return r.Int32(ev.watch_site);
+    if (key == "nth") return r.Int32(ev.nth);
+    if (key == "site") return r.Int32(ev.site);
+    if (key == "peer") return r.Int32(ev.peer);
+    if (key == "duration") return r.Int64(ev.duration);
     if (key == "loss_permille") {
       int64_t permille = 0;
-      Status s = ParseInt(permille);
-      if (!s.ok()) return s;
-      out.loss_prob = static_cast<double>(permille) / 1000.0;
-      return Status::Ok();
-    }
-    return Err(StrCat("unknown key: ", key));
-  }
-
-  Status ParseString(std::string& out) {
-    if (!Consume('"')) return Err("expected '\"'");
-    out.clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return Status::Ok();
-      out += c;  // fault-plan strings are bare identifiers, never escaped
-    }
-    return Err("unterminated string");
-  }
-
-  Status ParseInt(int64_t& out) {
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') ++pos_;
-    if (pos_ == start) return Err("expected integer");
-    try {
-      out = std::stoll(std::string(in_.substr(start, pos_ - start)));
-    } catch (...) {
-      return Err("integer out of range");
-    }
-    return Status::Ok();
-  }
-
-  Status ParseInt32(int32_t& out) {
-    int64_t v = 0;
-    Status s = ParseInt(v);
-    if (!s.ok()) return s;
-    out = static_cast<int32_t>(v);
-    return Status::Ok();
-  }
-
-  void SkipSpace() {
-    while (pos_ < in_.size() && (in_[pos_] == ' ' || in_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
+      if (!r.Int64(permille)) return false;
+      ev.loss_prob = static_cast<double>(permille) / 1000.0;
       return true;
     }
-    return false;
-  }
-
-  Status Err(std::string msg) const {
-    return Status::InvalidArgument(
-        StrCat("fault plan at offset ", pos_, ": ", msg));
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
+    return r.Fail(StrCat("unknown key: ", key));
+  });
+  if (ok) out.push_back(ev);
+  return ok;
+}
 
 }  // namespace
 
 Result<FaultPlan> ParseFaultPlan(const std::string& text) {
   FaultPlan plan;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty()) continue;
-    FaultEvent ev;
-    const Status s = EventParser(line).Parse(ev);
-    if (!s.ok()) {
-      return Status::InvalidArgument(
-          StrCat("line ", line_no, ": ", s.message()));
-    }
-    plan.events.push_back(ev);
-  }
+  const Status s = ReadJsonl(text, "fault plan", [&](JsonReader& r) {
+    return ReadFaultEvent(r, plan.events);
+  });
+  if (!s.ok()) return s;
   return plan;
 }
 

@@ -40,8 +40,10 @@ void CommandExecutor::Finish(const Status& status, db::CmdResult result) {
 }
 
 void CommandExecutor::AbortTxn(const Status& reason) {
-  // Keep *this alive across the abort (the LTM drops its reference).
+  // Finish makes the LTM drop its reference to *this; keep *this alive
+  // across both steps.
   auto self = shared_from_this();
+  Finish(reason, db::CmdResult{});
   ltm_->UnilateralAbortInternal(txn_, reason);
 }
 
@@ -76,14 +78,12 @@ void CommandExecutor::LockRound() {
   if (++rounds_ > kMaxLockRounds) {
     const Status reason =
         Status::Internal("command could not stabilize its lock set");
-    Finish(reason, db::CmdResult{});
     AbortTxn(reason);
     return;
   }
   if (ltm_->storage()->GetTable(db::CommandTable(cmd_)) == nullptr) {
     const Status reason =
         Status::NotFound(StrCat("table ", db::CommandTable(cmd_)));
-    Finish(reason, db::CmdResult{});
     AbortTxn(reason);
     return;
   }
@@ -129,7 +129,6 @@ void CommandExecutor::LockNextKey() {
 void CommandExecutor::OnDluCleared(int64_t key, const Status& s) {
   if (cancelled_ || finished_) return;
   if (!s.ok()) {
-    Finish(s, db::CmdResult{});
     AbortTxn(s);
     return;
   }
@@ -152,7 +151,6 @@ void CommandExecutor::OnLockGranted(int64_t key, const Status& s) {
     const Status reason = Status::Timeout(
         StrCat("lock wait timeout on key ", key, " of ",
                db::CommandToString(cmd_)));
-    Finish(reason, db::CmdResult{});
     AbortTxn(reason);
     return;
   }
@@ -239,7 +237,6 @@ void CommandExecutor::Apply() {
     if (existing != nullptr && existing->live() && !ins->upsert) {
       const Status reason = Status::AlreadyExists(
           StrCat("key ", ins->key, " in table ", table->name()));
-      Finish(reason, db::CmdResult{});
       AbortTxn(reason);
       return;
     }
@@ -264,7 +261,6 @@ void CommandExecutor::Apply() {
           if (!sum.has_value()) {
             const Status reason = Status::InvalidArgument(
                 StrCat("non-numeric ADD on field ", a.field));
-            Finish(reason, db::CmdResult{});
             AbortTxn(reason);
             return;
           }

@@ -55,6 +55,7 @@ class CommandExecutor : public std::enable_shared_from_this<CommandExecutor> {
   void ScheduleApply();
   void Apply();
   void Finish(const Status& status, db::CmdResult result);
+  // Finishes the command with `reason` and unilaterally aborts its txn.
   void AbortTxn(const Status& reason);
 
   // Keys the command currently matches (insert: the target key).

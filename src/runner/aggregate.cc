@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
+#include "common/json.h"
 #include "common/str.h"
 #include "history/view_checker.h"
 #include "trace/trace.h"
@@ -168,7 +168,7 @@ namespace {
 void AppendStatEntry(std::string& out, const std::string& name,
                      const Stat& s, bool last) {
   out += "        ";
-  trace::AppendJsonString(out, name);
+  AppendJsonString(out, name);
   StrAppend(out, ": {\"count\": ", s.count, ", \"sum\": ");
   AppendJsonDouble(out, s.sum);
   out += ", \"mean\": ";
@@ -182,7 +182,7 @@ void AppendStatEntry(std::string& out, const std::string& name,
 
 void AppendCell(std::string& out, const CellAggregate& cell) {
   out += "    {\n      \"cell\": ";
-  trace::AppendJsonString(out, cell.cell);
+  AppendJsonString(out, cell.cell);
   StrAppend(out, ",\n      \"runs\": ", cell.seeds.size(),
             ",\n      \"seeds\": [");
   for (size_t i = 0; i < cell.seeds.size(); ++i) {
@@ -231,23 +231,23 @@ std::string EncodeBenchArtifact(const BenchArtifact& a) {
   std::string out = "{\n  \"schema_version\": ";
   StrAppend(out, a.schema_version);
   out += ",\n  \"bench\": ";
-  trace::AppendJsonString(out, a.bench);
+  AppendJsonString(out, a.bench);
   out += ",\n  \"config\": ";
-  trace::AppendJsonString(out, a.config);
+  AppendJsonString(out, a.config);
   StrAppend(out, ",\n  \"seed\": ", a.seed, ",\n  \"workers\": ", a.workers,
             ",\n  \"headers\": [");
   for (size_t i = 0; i < a.headers.size(); ++i) {
     if (i > 0) out += ", ";
-    trace::AppendJsonString(out, a.headers[i]);
+    AppendJsonString(out, a.headers[i]);
   }
   out += "],\n  \"rows\": [";
   for (size_t r = 0; r < a.rows.size(); ++r) {
     out += r == 0 ? "\n    {" : ",\n    {";
     for (size_t i = 0; i < a.rows[r].size() && i < a.headers.size(); ++i) {
       if (i > 0) out += ", ";
-      trace::AppendJsonString(out, a.headers[i]);
+      AppendJsonString(out, a.headers[i]);
       out += ": ";
-      trace::AppendJsonString(out, a.rows[r][i]);
+      AppendJsonString(out, a.rows[r][i]);
     }
     out += "}";
   }
@@ -263,387 +263,140 @@ std::string EncodeBenchArtifact(const BenchArtifact& a) {
 
 namespace {
 
-// Recursive-descent parser for the exact grammar EncodeBenchArtifact
-// emits: whitespace-insensitive, but keys must appear in the canonical
-// order and nothing else is accepted (so any unknown key is a parse
-// error by construction). Derived fields (runs, mean, percentiles) are
-// parsed and discarded; Encode recomputes them, which is what makes
-// Encode(Parse(Encode(a))) byte-identical to Encode(a).
-class ArtifactParser {
- public:
-  explicit ArtifactParser(std::string_view in) : in_(in) {}
+// The exact grammar EncodeBenchArtifact emits: whitespace-insensitive, but
+// keys must appear in the canonical order and nothing else is accepted (so
+// any unknown key is a parse error by construction). Derived fields (runs,
+// mean, percentiles) are parsed and discarded; Encode recomputes them,
+// which is what makes Encode(Parse(Encode(a))) byte-identical to Encode(a).
 
-  Status Parse(BenchArtifact& out) {
-    if (!Expect('{')) return Error();
-    int64_t version = 0;
-    if (!Key("schema_version") || !Int64(version)) return Error();
-    if (version != BenchArtifact::kSchemaVersion) {
-      return Status::InvalidArgument(
-          StrCat("unsupported schema_version: ", version));
-    }
-    out.schema_version = static_cast<int>(version);
-    if (!Expect(',') || !Key("bench") || !String(out.bench)) return Error();
-    if (!Expect(',') || !Key("config") || !String(out.config)) {
-      return Error();
-    }
-    if (!Expect(',') || !Key("seed") || !Uint64(out.seed)) return Error();
-    int64_t workers = 0;
-    if (!Expect(',') || !Key("workers") || !Int64(workers)) return Error();
-    out.workers = static_cast<int>(workers);
-    if (!Expect(',') || !Key("headers") || !StringArray(out.headers)) {
-      return Error();
-    }
-    if (!Expect(',') || !Key("rows")) return Error();
-    Status s = ParseRows(out);
-    if (!s.ok()) return s;
-    if (!Expect(',') || !Key("cells")) return Error();
-    s = ParseCells(out);
-    if (!s.ok()) return s;
-    if (!Expect('}')) return Error();
-    SkipSpace();
-    if (pos_ != in_.size()) return Fail("trailing characters");
-    return Status::Ok();
-  }
+bool ParseStat(JsonReader& r, Stat& stat) {
+  double mean = 0;  // derived: sum / count
+  return r.Expect('{') && r.Key("count") && r.Int64(stat.count) &&
+         r.Expect(',') && r.Key("sum") && r.Double(stat.sum) &&
+         r.Expect(',') && r.Key("mean") && r.Double(mean) && r.Expect(',') &&
+         r.Key("min") && r.Double(stat.min) && r.Expect(',') &&
+         r.Key("max") && r.Double(stat.max) && r.Expect('}');
+}
 
- private:
-  Status ParseRows(BenchArtifact& out) {
-    if (!Expect('[')) return Error();
-    if (TryExpect(']')) return Status::Ok();
-    while (true) {
-      if (!Expect('{')) return Error();
-      std::vector<std::string> row;
-      if (!TryExpect('}')) {
-        while (true) {
-          std::string key, value;
-          if (!String(key) || !Expect(':') || !String(value)) {
-            return Error();
-          }
-          if (row.size() >= out.headers.size() ||
-              key != out.headers[row.size()]) {
-            return Fail(StrCat("row key out of header order: ", key));
-          }
-          row.push_back(std::move(value));
-          if (TryExpect('}')) break;
-          if (!Expect(',')) return Error();
-        }
-      }
-      out.rows.push_back(std::move(row));
-      if (TryExpect(']')) return Status::Ok();
-      if (!Expect(',')) return Error();
+bool ParseLatency(JsonReader& r, CellAggregate& cell) {
+  // count and the percentiles are derived from the buckets; min/max are
+  // carried explicitly because buckets only bound them.
+  int64_t count = 0, min = 0, max = 0, p = 0;
+  std::array<int64_t, trace::Histogram::kBuckets> buckets{};
+  const auto bucket = [&] {
+    int64_t index = 0, n = 0;
+    if (!r.Expect('[') || !r.Int64(index) || !r.Expect(',') || !r.Int64(n) ||
+        !r.Expect(']')) {
+      return false;
     }
-  }
-
-  Status ParseCells(BenchArtifact& out) {
-    if (!Expect('[')) return Error();
-    if (TryExpect(']')) return Status::Ok();
-    while (true) {
-      CellAggregate cell;
-      Status s = ParseCell(cell);
-      if (!s.ok()) return s;
-      out.cells.push_back(std::move(cell));
-      if (TryExpect(']')) return Status::Ok();
-      if (!Expect(',')) return Error();
+    if (index < 0 || index >= trace::Histogram::kBuckets) {
+      return r.Fail(StrCat("bucket index out of range: ", index));
     }
-  }
-
-  Status ParseCell(CellAggregate& cell) {
-    if (!Expect('{')) return Error();
-    if (!Key("cell") || !String(cell.cell)) return Error();
-    int64_t runs = 0;  // derived: seeds.size()
-    if (!Expect(',') || !Key("runs") || !Int64(runs)) return Error();
-    if (!Expect(',') || !Key("seeds") || !Expect('[')) return Error();
-    if (!TryExpect(']')) {
-      while (true) {
-        uint64_t seed = 0;
-        if (!Uint64(seed)) return Error();
-        cell.seeds.push_back(seed);
-        if (TryExpect(']')) break;
-        if (!Expect(',')) return Error();
-      }
-    }
-    if (runs != static_cast<int64_t>(cell.seeds.size())) {
-      return Fail("runs does not match seeds length");
-    }
-    if (!Expect(',') || !Key("stats") || !Expect('{')) return Error();
-    if (!TryExpect('}')) {
-      while (true) {
-        std::string name;
-        Stat stat;
-        if (!String(name) || !Expect(':') || !ParseStat(stat)) {
-          return Error();
-        }
-        if (cell.FindStat(name) != nullptr) {
-          return Fail(StrCat("duplicate stat: ", name));
-        }
-        cell.stats.emplace_back(std::move(name), stat);
-        if (TryExpect('}')) break;
-        if (!Expect(',')) return Error();
-      }
-    }
-    if (!Expect(',') || !Key("latency_us")) return Error();
-    Status s = ParseLatency(cell);
-    if (!s.ok()) return s;
-    if (TryExpect(',')) {  // optional trailing series
-      if (!Key("series")) return Error();
-      s = ParseSeries(cell);
-      if (!s.ok()) return s;
-    }
-    if (!Expect('}')) return Error();
-    return Status::Ok();
-  }
-
-  Status ParseSeries(CellAggregate& cell) {
-    if (!Expect('{') || !Key("window_us") ||
-        !Int64(cell.series.window_us) || !Expect(',') || !Key("windows") ||
-        !Expect('[')) {
-      return Error();
-    }
-    if (cell.series.window_us <= 0) return Fail("bad series window_us");
-    while (true) {
-      trace::TimeSeries::Window w;
-      if (!Expect('[') || !Int64(w.begun) || !Expect(',') ||
-          !Int64(w.committed) || !Expect(',') || !Int64(w.aborted) ||
-          !Expect(',') || !Int64(w.refusals) || !Expect(',') ||
-          !Int64(w.resubmissions) || !Expect(',') ||
-          !Int64(w.max_in_flight) || !Expect(',') ||
-          !Int64(w.max_prepared) || !Expect(']')) {
-        return Error();
-      }
-      cell.series.windows.push_back(w);
-      if (TryExpect(']')) break;
-      if (!Expect(',')) return Error();
-    }
-    // The encoder omits empty series entirely, so one window is the
-    // grammar's minimum — and the empty-vs-absent ambiguity never arises.
-    if (!Expect('}')) return Error();
-    return Status::Ok();
-  }
-
-  bool ParseStat(Stat& stat) {
-    double mean = 0;  // derived: sum / count
-    return Expect('{') && Key("count") && Int64(stat.count) &&
-           Expect(',') && Key("sum") && Double(stat.sum) && Expect(',') &&
-           Key("mean") && Double(mean) && Expect(',') && Key("min") &&
-           Double(stat.min) && Expect(',') && Key("max") &&
-           Double(stat.max) && Expect('}');
-  }
-
-  Status ParseLatency(CellAggregate& cell) {
-    // count and the percentiles are derived from the buckets; min/max are
-    // carried explicitly because buckets only bound them.
-    int64_t count = 0, min = 0, max = 0, p = 0;
-    if (!Expect('{') || !Key("count") || !Int64(count) || !Expect(',') ||
-        !Key("min") || !Int64(min) || !Expect(',') || !Key("max") ||
-        !Int64(max) || !Expect(',') || !Key("p50") || !Int64(p) ||
-        !Expect(',') || !Key("p95") || !Int64(p) || !Expect(',') ||
-        !Key("p99") || !Int64(p) || !Expect(',') || !Key("buckets") ||
-        !Expect('[')) {
-      return Error();
-    }
-    std::array<int64_t, trace::Histogram::kBuckets> buckets{};
-    if (!TryExpect(']')) {
-      while (true) {
-        int64_t index = 0, n = 0;
-        if (!Expect('[') || !Int64(index) || !Expect(',') || !Int64(n) ||
-            !Expect(']')) {
-          return Error();
-        }
-        if (index < 0 || index >= trace::Histogram::kBuckets) {
-          return Fail(StrCat("bucket index out of range: ", index));
-        }
-        buckets[static_cast<size_t>(index)] = n;
-        if (TryExpect(']')) break;
-        if (!Expect(',')) return Error();
-      }
-    }
-    if (!Expect('}')) return Error();
-    cell.latency = trace::Histogram::FromParts(buckets, min, max);
-    if (cell.latency.count() != count) {
-      return Fail("latency count does not match bucket sum");
-    }
-    return Status::Ok();
-  }
-
-  // --- lexing helpers -------------------------------------------------
-
-  void SkipSpace() {
-    while (pos_ < in_.size() &&
-           (in_[pos_] == ' ' || in_[pos_] == '\n' || in_[pos_] == '\t' ||
-            in_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Expect(char c) {
-    SkipSpace();
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return Fail2(StrCat("expected '", std::string(1, c), "'"));
-  }
-
-  bool TryExpect(char c) {
-    SkipSpace();
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
+    buckets[static_cast<size_t>(index)] = n;
+    return true;
+  };
+  if (!r.Expect('{') || !r.Key("count") || !r.Int64(count) ||
+      !r.Expect(',') || !r.Key("min") || !r.Int64(min) || !r.Expect(',') ||
+      !r.Key("max") || !r.Int64(max) || !r.Expect(',') || !r.Key("p50") ||
+      !r.Int64(p) || !r.Expect(',') || !r.Key("p95") || !r.Int64(p) ||
+      !r.Expect(',') || !r.Key("p99") || !r.Int64(p) || !r.Expect(',') ||
+      !r.Key("buckets") || !r.Array(bucket) || !r.Expect('}')) {
     return false;
   }
+  cell.latency = trace::Histogram::FromParts(buckets, min, max);
+  return cell.latency.count() == count ||
+         r.Fail("latency count does not match bucket sum");
+}
 
-  // Consumes `"name":`. Any other key fails the parse — the canonical
-  // grammar has no optional or reordered fields.
-  bool Key(std::string_view name) {
-    std::string got;
-    if (!String(got)) return false;
-    if (got != name) {
-      return Fail2(StrCat("expected key \"", std::string(name),
-                          "\", got \"", got, "\""));
-    }
-    return Expect(':');
-  }
-
-  bool String(std::string& out) {
-    SkipSpace();
-    if (pos_ >= in_.size() || in_[pos_] != '"') {
-      return Fail2("expected string");
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= in_.size()) return Fail2("dangling escape");
-      char esc = in_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (pos_ + 4 > in_.size()) return Fail2("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = in_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail2("bad \\u escape");
-            }
-          }
-          if (code > 0x7f) return Fail2("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return Fail2("unknown escape");
-      }
-    }
-    return Fail2("unterminated string");
-  }
-
-  bool Int64(int64_t& out) {
-    SkipSpace();
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start || (in_[start] == '-' && pos_ == start + 1)) {
-      return Fail2("expected integer");
-    }
-    errno = 0;
-    out = std::strtoll(std::string(in_.substr(start, pos_ - start)).c_str(),
-                       nullptr, 10);
-    if (errno == ERANGE) return Fail2("integer out of range");
-    return true;
-  }
-
-  bool Uint64(uint64_t& out) {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail2("expected unsigned integer");
-    errno = 0;
-    out = std::strtoull(std::string(in_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
-    if (errno == ERANGE) return Fail2("integer out of range");
-    return true;
-  }
-
-  bool Double(double& out) {
-    SkipSpace();
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() &&
-           ((in_[pos_] >= '0' && in_[pos_] <= '9') || in_[pos_] == '.' ||
-            in_[pos_] == 'e' || in_[pos_] == 'E' || in_[pos_] == '+' ||
-            in_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail2("expected number");
-    char* end = nullptr;
-    const std::string text(in_.substr(start, pos_ - start));
-    out = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return Fail2("bad number");
-    return true;
-  }
-
-  bool StringArray(std::vector<std::string>& out) {
-    if (!Expect('[')) return false;
-    if (TryExpect(']')) return true;
-    while (true) {
-      std::string s;
-      if (!String(s)) return false;
-      out.push_back(std::move(s));
-      if (TryExpect(']')) return true;
-      if (!Expect(',')) return false;
-    }
-  }
-
-  bool Fail2(std::string message) {
-    if (error_.empty()) {
-      error_ = StrCat(std::move(message), " at offset ", pos_);
-    }
+bool ParseSeries(JsonReader& r, CellAggregate& cell) {
+  trace::TimeSeries& series = cell.series;
+  const auto window = [&] {
+    trace::TimeSeries::Window& w = series.windows.emplace_back();
+    return r.Expect('[') && r.Int64(w.begun) && r.Expect(',') &&
+           r.Int64(w.committed) && r.Expect(',') && r.Int64(w.aborted) &&
+           r.Expect(',') && r.Int64(w.refusals) && r.Expect(',') &&
+           r.Int64(w.resubmissions) && r.Expect(',') &&
+           r.Int64(w.max_in_flight) && r.Expect(',') &&
+           r.Int64(w.max_prepared) && r.Expect(']');
+  };
+  if (!r.Expect('{') || !r.Key("window_us") || !r.Int64(series.window_us)) {
     return false;
   }
+  if (series.window_us <= 0) return r.Fail("bad series window_us");
+  // The encoder omits empty series entirely, so one window is the
+  // grammar's minimum — and the empty-vs-absent ambiguity never arises.
+  return r.Expect(',') && r.Key("windows") && r.Array(window) &&
+         (!series.windows.empty() || r.Fail("empty series")) &&
+         r.Expect('}');
+}
 
-  Status Fail(std::string message) {
-    Fail2(std::move(message));
-    return Error();
+bool ParseCell(JsonReader& r, CellAggregate& cell) {
+  int64_t runs = 0;  // derived: seeds.size()
+  const auto seed = [&] { return r.Uint64(cell.seeds.emplace_back()); };
+  const auto stat = [&](std::string_view name) {
+    if (cell.FindStat(std::string(name)) != nullptr) {
+      return r.Fail(StrCat("duplicate stat: ", name));
+    }
+    cell.stats.emplace_back(std::string(name), Stat{});
+    return ParseStat(r, cell.stats.back().second);
+  };
+  if (!r.Expect('{') || !r.Key("cell") || !r.String(cell.cell) ||
+      !r.Expect(',') || !r.Key("runs") || !r.Int64(runs) || !r.Expect(',') ||
+      !r.Key("seeds") || !r.Array(seed)) {
+    return false;
   }
-
-  Status Error() const {
-    return Status::InvalidArgument(
-        error_.empty() ? "parse error" : error_);
+  if (runs != static_cast<int64_t>(cell.seeds.size())) {
+    return r.Fail("runs does not match seeds length");
   }
+  if (!r.Expect(',') || !r.Key("stats") || !r.Object(stat) ||
+      !r.Expect(',') || !r.Key("latency_us") || !ParseLatency(r, cell)) {
+    return false;
+  }
+  // Optional trailing series.
+  if (r.Consume(',') && (!r.Key("series") || !ParseSeries(r, cell))) {
+    return false;
+  }
+  return r.Expect('}');
+}
 
-  std::string_view in_;
-  size_t pos_ = 0;
-  std::string error_;
-};
+bool ParseArtifact(JsonReader& r, BenchArtifact& out) {
+  int64_t version = 0;
+  if (!r.Expect('{') || !r.Key("schema_version") || !r.Int64(version)) {
+    return false;
+  }
+  if (version != BenchArtifact::kSchemaVersion) {
+    return r.Fail(StrCat("unsupported schema_version: ", version));
+  }
+  out.schema_version = static_cast<int>(version);
+  const auto header = [&] { return r.String(out.headers.emplace_back()); };
+  const auto row = [&] {
+    std::vector<std::string>& values = out.rows.emplace_back();
+    return r.Object([&](std::string_view key) {
+      if (values.size() >= out.headers.size() ||
+          key != out.headers[values.size()]) {
+        return r.Fail(StrCat("row key out of header order: ", key));
+      }
+      return r.String(values.emplace_back());
+    });
+  };
+  const auto cell = [&] { return ParseCell(r, out.cells.emplace_back()); };
+  if (!r.Expect(',') || !r.Key("bench") || !r.String(out.bench) ||
+      !r.Expect(',') || !r.Key("config") || !r.String(out.config) ||
+      !r.Expect(',') || !r.Key("seed") || !r.Uint64(out.seed) ||
+      !r.Expect(',') || !r.Key("workers") || !r.Int32(out.workers)) {
+    return false;
+  }
+  return r.Expect(',') && r.Key("headers") && r.Array(header) &&
+         r.Expect(',') && r.Key("rows") && r.Array(row) && r.Expect(',') &&
+         r.Key("cells") && r.Array(cell) && r.Expect('}') && r.ExpectEnd();
+}
 
 }  // namespace
 
 Result<BenchArtifact> ParseBenchArtifact(const std::string& json) {
   BenchArtifact out;
-  ArtifactParser parser(json);
-  Status s = parser.Parse(out);
-  if (!s.ok()) return s;
+  JsonReader reader(json, "bench artifact");
+  if (!ParseArtifact(reader, out)) return reader.status();
   return out;
 }
 

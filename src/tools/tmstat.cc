@@ -313,21 +313,10 @@ int main(int argc, char** argv) {
       // Per-line accounting: every non-blank input line either became an
       // event or was skipped; spell both counts out so the reports below
       // are unmistakably partial.
-      int64_t total_lines = 0;
-      bool blank = true;
-      for (const char c : text) {
-        if (c == '\n') {
-          if (!blank) ++total_lines;
-          blank = true;
-        } else if (c != ' ' && c != '\t' && c != '\r') {
-          blank = false;
-        }
-      }
-      if (!blank) ++total_lines;
       std::fprintf(stderr,
                    "tmstat: %lld line(s) total: %lld parsed, %lld skipped — "
                    "reports reflect partial data\n",
-                   static_cast<long long>(total_lines),
+                   static_cast<long long>(parsed.lines),
                    static_cast<long long>(parsed.events.size()),
                    static_cast<long long>(parsed.skipped_lines));
       for (const std::string& w : parsed.warnings) {

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/json.h"
 #include "common/str.h"
 
 namespace hermes::trace {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/str.h"
 #include "trace/binary.h"
 #include "trace/ring.h"
@@ -131,62 +132,24 @@ const char* TraceFormatName(TraceFormat format) {
   return "?";
 }
 
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 std::string EncodeTxnId(const TxnId& id) {
   if (!id.valid()) return "-";
   return StrCat(id.global() ? "G" : "L", id.site, ".", id.seq);
 }
 
-Result<TxnId> DecodeTxnId(const std::string& text) {
+Result<TxnId> DecodeTxnId(std::string_view text) {
   if (text == "-") return TxnId{};
-  if (text.size() < 4 || (text[0] != 'G' && text[0] != 'L')) {
-    return Status::InvalidArgument(StrCat("bad txn id: ", text));
-  }
   const size_t dot = text.find('.');
-  if (dot == std::string::npos) {
+  SiteId site = kInvalidSite;
+  int64_t seq = 0;
+  if (text.size() < 4 || (text[0] != 'G' && text[0] != 'L') ||
+      dot == std::string_view::npos ||
+      !ParseDecimal(text.substr(1, dot - 1), site) ||
+      !ParseDecimal(text.substr(dot + 1), seq)) {
     return Status::InvalidArgument(StrCat("bad txn id: ", text));
   }
-  try {
-    const SiteId site =
-        static_cast<SiteId>(std::stol(text.substr(1, dot - 1)));
-    const int64_t seq = std::stoll(text.substr(dot + 1));
-    return text[0] == 'G' ? TxnId::MakeGlobal(site, seq)
-                          : TxnId::MakeLocal(site, seq);
-  } catch (...) {
-    return Status::InvalidArgument(StrCat("bad txn id: ", text));
-  }
+  return text[0] == 'G' ? TxnId::MakeGlobal(site, seq)
+                        : TxnId::MakeLocal(site, seq);
 }
 
 std::string EncodeSerialNumber(const core::SerialNumber& sn) {
@@ -194,23 +157,18 @@ std::string EncodeSerialNumber(const core::SerialNumber& sn) {
   return StrCat(sn.clock, "/", sn.coordinator, "/", sn.seq);
 }
 
-Result<core::SerialNumber> DecodeSerialNumber(const std::string& text) {
+Result<core::SerialNumber> DecodeSerialNumber(std::string_view text) {
   if (text == "-") return core::SerialNumber{};
   const size_t a = text.find('/');
-  const size_t b = a == std::string::npos ? a : text.find('/', a + 1);
-  if (b == std::string::npos) {
+  const size_t b = a == std::string_view::npos ? a : text.find('/', a + 1);
+  core::SerialNumber sn;
+  if (b == std::string_view::npos ||
+      !ParseDecimal(text.substr(0, a), sn.clock) ||
+      !ParseDecimal(text.substr(a + 1, b - a - 1), sn.coordinator) ||
+      !ParseDecimal(text.substr(b + 1), sn.seq)) {
     return Status::InvalidArgument(StrCat("bad serial number: ", text));
   }
-  try {
-    core::SerialNumber sn;
-    sn.clock = std::stoll(text.substr(0, a));
-    sn.coordinator =
-        static_cast<SiteId>(std::stol(text.substr(a + 1, b - a - 1)));
-    sn.seq = std::stoll(text.substr(b + 1));
-    return sn;
-  } catch (...) {
-    return Status::InvalidArgument(StrCat("bad serial number: ", text));
-  }
+  return sn;
 }
 
 std::string Event::ToJson() const {
@@ -387,269 +345,66 @@ bool Tracer::WriteBinary(const std::string& path) const {
 
 namespace {
 
-// Minimal scanner for the flat JSON objects Tracer emits: keys mapping to
-// integers, booleans, strings, or arrays of strings.
-class LineParser {
- public:
-  explicit LineParser(std::string_view line) : in_(line) {}
+// Reads a string field holding one of the compact encodings (txn id,
+// serial number).
+template <typename T>
+bool ReadEncoded(JsonReader& r, Result<T> (*decode)(std::string_view),
+                 T& out) {
+  std::string_view text;
+  if (!r.String(text)) return false;
+  Result<T> decoded = decode(text);
+  if (!decoded.ok()) return r.Fail(decoded.status().message());
+  out = *decoded;
+  return true;
+}
 
-  Status Parse(Event& out) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Consume('}')) break;
-      if (!first && !Consume(',')) return Err("expected ',' or '}'");
-      first = false;
-      SkipSpace();
-      std::string key;
-      Status s = ParseString(key);
-      if (!s.ok()) return s;
-      SkipSpace();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipSpace();
-      s = ParseValue(key, out);
-      if (!s.ok()) return s;
-    }
-    SkipSpace();
-    if (pos_ != in_.size()) return Err("trailing characters");
-    return Status::Ok();
-  }
-
- private:
-  Status ParseValue(const std::string& key, Event& out) {
-    if (key == "seq") return ParseInt(out.seq);
-    if (key == "t") return ParseInt(out.at);
-    if (key == "site") return ParseInt32(out.site);
-    if (key == "peer") return ParseInt32(out.peer);
-    if (key == "resub") return ParseInt32(out.resubmission);
-    if (key == "value") return ParseInt(out.value);
-    if (key == "ok") return ParseBool(out.ok);
+// Appends the event on one JSONL line to `out`.
+bool ReadEvent(JsonReader& r, std::vector<Event>& out) {
+  Event e;
+  const bool ok = r.FlatObject([&](std::string_view key) {
+    if (key == "seq") return r.Int64(e.seq);
+    if (key == "t") return r.Int64(e.at);
     if (key == "kind") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (EventKind k : kAllEventKinds) {
-        if (name == EventKindName(k)) {
-          out.kind = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown event kind: ", name));
+      return r.Name(kAllEventKinds, EventKindName, "event kind", e.kind);
     }
+    if (key == "txn") return ReadEncoded(r, DecodeTxnId, e.txn);
+    if (key == "site") return r.Int32(e.site);
+    if (key == "peer") return r.Int32(e.peer);
+    if (key == "resub") return r.Int32(e.resubmission);
+    if (key == "value") return r.Int64(e.value);
+    if (key == "sn") return ReadEncoded(r, DecodeSerialNumber, e.sn);
     if (key == "refuse") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (RefuseKind k : kAllRefuseKinds) {
-        if (name == RefuseKindName(k)) {
-          out.refuse = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown refuse kind: ", name));
+      return r.Name(kAllRefuseKinds, RefuseKindName, "refuse kind", e.refuse);
     }
-    if (key == "txn") {
-      std::string text;
-      Status s = ParseString(text);
-      if (!s.ok()) return s;
-      Result<TxnId> id = DecodeTxnId(text);
-      if (!id.ok()) return id.status();
-      out.txn = *id;
-      return Status::Ok();
-    }
-    if (key == "sn") {
-      std::string text;
-      Status s = ParseString(text);
-      if (!s.ok()) return s;
-      Result<core::SerialNumber> sn = DecodeSerialNumber(text);
-      if (!sn.ok()) return sn.status();
-      out.sn = *sn;
-      return Status::Ok();
-    }
-    if (key == "detail") return ParseString(out.detail);
+    if (key == "ok") return r.Bool(e.ok);
+    if (key == "detail") return r.String(e.detail);
     if (key == "related") {
-      if (!Consume('[')) return Err("expected '['");
-      SkipSpace();
-      if (Consume(']')) return Status::Ok();
-      while (true) {
-        SkipSpace();
-        std::string text;
-        Status s = ParseString(text);
-        if (!s.ok()) return s;
-        Result<TxnId> id = DecodeTxnId(text);
-        if (!id.ok()) return id.status();
-        out.related.push_back(*id);
-        SkipSpace();
-        if (Consume(']')) return Status::Ok();
-        if (!Consume(',')) return Err("expected ',' or ']'");
-      }
+      return r.Array([&] {
+        return ReadEncoded(r, DecodeTxnId, e.related.emplace_back());
+      });
     }
-    return Err(StrCat("unknown key: ", key));
-  }
-
-  Status ParseString(std::string& out) {
-    if (!Consume('"')) return Err("expected '\"'");
-    out.clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= in_.size()) return Err("dangling escape");
-      char esc = in_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'u': {
-          if (pos_ + 4 > in_.size()) return Err("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = in_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Err("bad \\u escape");
-            }
-          }
-          if (code > 0x7f) return Err("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return Err("unknown escape");
-      }
-    }
-    return Err("unterminated string");
-  }
-
-  Status ParseInt(int64_t& out) {
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') ++pos_;
-    if (pos_ == start) return Err("expected integer");
-    try {
-      out = std::stoll(std::string(in_.substr(start, pos_ - start)));
-    } catch (...) {
-      return Err("integer out of range");
-    }
-    return Status::Ok();
-  }
-
-  Status ParseInt32(int32_t& out) {
-    int64_t v = 0;
-    Status s = ParseInt(v);
-    if (!s.ok()) return s;
-    out = static_cast<int32_t>(v);
-    return Status::Ok();
-  }
-
-  Status ParseBool(bool& out) {
-    if (in_.substr(pos_, 4) == "true") {
-      out = true;
-      pos_ += 4;
-      return Status::Ok();
-    }
-    if (in_.substr(pos_, 5) == "false") {
-      out = false;
-      pos_ += 5;
-      return Status::Ok();
-    }
-    return Err("expected boolean");
-  }
-
-  void SkipSpace() {
-    while (pos_ < in_.size() && (in_[pos_] == ' ' || in_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Err(std::string msg) const {
-    return Status::InvalidArgument(
-        StrCat("trace jsonl at offset ", pos_, ": ", msg));
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
+    return r.Fail(StrCat("unknown key: ", key));
+  });
+  if (ok) out.push_back(std::move(e));
+  return ok;
+}
 
 }  // namespace
 
 Result<std::vector<Event>> ParseJsonl(const std::string& text) {
   std::vector<Event> events;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty()) continue;
-    Event e;
-    const Status s = LineParser(line).Parse(e);
-    if (!s.ok()) {
-      return Status::InvalidArgument(
-          StrCat("line ", line_no, ": ", s.message()));
-    }
-    events.push_back(std::move(e));
-  }
+  const Status s = ReadJsonl(text, "trace jsonl", [&](JsonReader& r) {
+    return ReadEvent(r, events);
+  });
+  if (!s.ok()) return s;
   return events;
 }
 
 LenientParse ParseJsonlLenient(const std::string& text) {
   LenientParse out;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty()) continue;
-    Event e;
-    const Status s = LineParser(line).Parse(e);
-    if (!s.ok()) {
-      ++out.skipped_lines;
-      if (out.warnings.size() < LenientParse::kMaxWarnings) {
-        out.warnings.push_back(StrCat("line ", line_no, ": ", s.message()));
-      }
-      continue;
-    }
-    out.events.push_back(std::move(e));
-  }
+  ReadJsonl(
+      text, "trace jsonl",
+      [&](JsonReader& r) { return ReadEvent(r, out.events); }, &out);
   return out;
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "core/serial_number.h"
 #include "sim/event_loop.h"
@@ -334,25 +335,18 @@ Result<std::vector<Event>> ParseJsonl(const std::string& text);
 // (newer writers, truncated files): lines that fail the strict parser —
 // unknown event kinds, unknown keys, a trailing line cut mid-object — are
 // skipped and counted instead of failing the whole parse. The first few
-// skip reasons are kept for diagnostics.
-struct LenientParse {
-  static constexpr size_t kMaxWarnings = 10;
-
+// skip reasons are kept for diagnostics, and `lines` counts every non-blank
+// line, so lines == events.size() + skipped_lines.
+struct LenientParse : JsonlSkips {
   std::vector<Event> events;
-  int64_t skipped_lines = 0;
-  std::vector<std::string> warnings;  // at most kMaxWarnings entries
 };
 LenientParse ParseJsonlLenient(const std::string& text);
 
-// Appends `s` as a double-quoted JSON string, escaping control characters.
-// Shared by the trace exporter and the benchmark artifact writers.
-void AppendJsonString(std::string& out, std::string_view s);
-
 // Compact encodings used inside the JSONL fields.
 std::string EncodeTxnId(const TxnId& id);
-Result<TxnId> DecodeTxnId(const std::string& text);
+Result<TxnId> DecodeTxnId(std::string_view text);
 std::string EncodeSerialNumber(const core::SerialNumber& sn);
-Result<core::SerialNumber> DecodeSerialNumber(const std::string& text);
+Result<core::SerialNumber> DecodeSerialNumber(std::string_view text);
 
 }  // namespace hermes::trace
 

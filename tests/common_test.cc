@@ -1,10 +1,13 @@
-// Unit tests for ids, status, string helpers and the seeded RNG.
+// Unit tests for ids, status, string helpers, the JSON reader and the seeded
+// RNG.
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 
 #include "common/ids.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str.h"
@@ -62,6 +65,73 @@ TEST(Str, CatJoinAppend) {
   std::string s = "x";
   StrAppend(s, "y", 7);
   EXPECT_EQ(s, "xy7");
+}
+
+// Reads one value of `type` ('s' string, 'l' Int64, 'i' Int32, 'd' Double)
+// and the end of input; returns the value as text, or the reader's error.
+std::string ReadOneJsonValue(std::string_view in, char type) {
+  JsonReader r(in, "test");
+  std::string text;
+  bool ok = false;
+  if (type == 's') {
+    ok = r.String(text);
+  } else if (type == 'l') {
+    int64_t v = 0;
+    ok = r.Int64(v);
+    text = std::to_string(v);
+  } else if (type == 'i') {
+    int32_t v = 0;
+    ok = r.Int32(v);
+    text = std::to_string(v);
+  } else {
+    double v = 0;
+    ok = r.Double(v);
+    char buf[32];
+    text.assign(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+  return ok && r.ExpectEnd() ? text : r.status().message();
+}
+
+TEST(JsonReader, ReadsValuesAndReportsErrorsWithOffsets) {
+  struct Case {
+    std::string_view in;
+    char type;
+    std::string_view want;
+  };
+  const Case cases[] = {
+      // Strings: every escape, surrounding whitespace, malformed forms.
+      {R"("a\"b\\c\/d\be\ff\ng\rh\ti\u0041")", 's',
+       "a\"b\\c/d\be\ff\ng\rh\tiA"},
+      {R"(  "plain"  )", 's', "plain"},
+      {R"("\u00e9")", 's',
+       "test at offset 3: non-ASCII \\u escape unsupported"},
+      {R"("\u12")", 's', "test at offset 3: bad \\u escape"},
+      {R"("\x")", 's', "test at offset 3: unknown escape"},
+      {R"("abc\)", 's', "test at offset 5: dangling escape"},
+      {R"("abc)", 's', "test at offset 4: unterminated string"},
+      {"7", 's', "test at offset 0: expected '\"'"},
+      // Integers.
+      {"-9223372036854775808", 'l', "-9223372036854775808"},
+      {"-", 'l', "test at offset 0: expected integer"},
+      {"+1", 'l', "test at offset 0: expected integer"},
+      {"9223372036854775808", 'l', "test at offset 19: integer out of range"},
+      {"-2147483648", 'i', "-2147483648"},
+      {"2147483648", 'i', "test at offset 10: integer out of range"},
+      {"4294967297", 'i', "test at offset 10: integer out of range"},
+      // Doubles.
+      {"1e-3", 'd', "0.001"},
+      {"-0.5", 'd', "-0.5"},
+      {"1.7976931348623157e308", 'd', "1.7976931348623157e+308"},
+      {"1e999", 'd', "test at offset 5: number out of range"},
+      {"inf", 'd', "test at offset 0: expected number"},
+      {".5", 'd', "test at offset 0: expected number"},
+      // Trailing characters after a complete value.
+      {"12 x", 'l', "test at offset 3: trailing characters"},
+      {R"("a" "b")", 's', "test at offset 4: trailing characters"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ReadOneJsonValue(c.in, c.type), c.want) << c.in;
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

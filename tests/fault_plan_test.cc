@@ -83,6 +83,10 @@ TEST(FaultPlanJson, RejectsUnknownKeysAndGarbage) {
   EXPECT_FALSE(
       ParseFaultPlan(R"({"kind":"crash_site","trigger":"at_time","at":1} junk)")
           .ok());
+  EXPECT_FALSE(ParseFaultPlan("{} junk").ok());
+  EXPECT_FALSE(
+      ParseFaultPlan(R"({"kind":"crash_site","trigger":"at_time","site":4294967298})")
+          .ok());
 }
 
 TEST(ChaosGenerator, SameSeedSamePlan) {

@@ -372,6 +372,7 @@ TEST(LenientParseTest, SkipsBadLinesAndCounts) {
   const trace::LenientParse parsed = trace::ParseJsonlLenient(dirty);
   EXPECT_EQ(parsed.events.size(), total);
   EXPECT_EQ(parsed.skipped_lines, 4);
+  EXPECT_EQ(parsed.lines, static_cast<int64_t>(total) + 4);
   EXPECT_FALSE(parsed.warnings.empty());
   EXPECT_LE(parsed.warnings.size(), trace::LenientParse::kMaxWarnings);
   EXPECT_EQ(BuildSpanForest(parsed.events).ToString(),

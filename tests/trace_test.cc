@@ -244,6 +244,13 @@ TEST(TracerTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(trace::ParseJsonl("{\"seq\":0").ok());       // truncated
   EXPECT_FALSE(trace::ParseJsonl("{\"wat\":1}").ok());      // unknown key
   EXPECT_FALSE(trace::ParseJsonl("{\"kind\":\"?\"}").ok()); // unknown kind
+  // 32-bit fields out of range, directly and inside the compact encodings.
+  for (const char* line :
+       {R"({"seq":0,"t":0,"kind":"txn_begin","site":4294967297})",
+        R"({"seq":0,"t":0,"kind":"txn_begin","txn":"G4294967297.1"})",
+        R"({"seq":0,"t":0,"kind":"txn_begin","sn":"5/4294967297/1"})"}) {
+    EXPECT_FALSE(trace::ParseJsonl(line).ok()) << line;
+  }
   const auto empty = trace::ParseJsonl("\n\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
