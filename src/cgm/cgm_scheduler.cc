@@ -19,11 +19,8 @@ void CgmScheduler::TryAdmission(const TxnId& gtid, std::vector<SiteId> sites,
                                 sim::Time deadline) {
   if (graph_.TryAdd(gtid, sites)) {
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCgmAdmission;
-      e.txn = gtid;
-      e.site = endpoint_;
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = trace::EventKind::kCgmAdmission, .txn = gtid,
+                       .site = endpoint_});
     }
     network_->Send(endpoint_, client_endpoint_,
                    CgmMessage{CommitCheckReplyMsg{gtid, Status::Ok()}});
@@ -32,13 +29,10 @@ void CgmScheduler::TryAdmission(const TxnId& gtid, std::vector<SiteId> sites,
   if (loop_->Now() >= deadline) {
     ++metrics_->cgm_graph_rejections;
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCgmAdmission;
-      e.txn = gtid;
-      e.site = endpoint_;
-      e.ok = false;
-      e.detail = "commit graph: admission would create a loop";
-      tracer_->Record(std::move(e));
+      tracer_->Record(
+          {.kind = trace::EventKind::kCgmAdmission, .txn = gtid,
+           .site = endpoint_, .ok = false,
+           .detail = "commit graph: admission would create a loop"});
     }
     network_->Send(
         endpoint_, client_endpoint_,
@@ -65,14 +59,9 @@ void CgmScheduler::Handle(const net::Envelope& env) {
                       [this, gtid, request_id, granules](Status s) {
       if (!s.ok()) ++metrics_->cgm_lock_timeouts;
       if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kCgmLock;
-        e.txn = gtid;
-        e.site = endpoint_;
-        e.value = granules;
-        e.ok = s.ok();
-        if (!s.ok()) e.detail = s.ToString();
-        tracer_->Record(std::move(e));
+        tracer_->Record({.kind = trace::EventKind::kCgmLock, .txn = gtid,
+                         .site = endpoint_, .value = granules, .ok = s.ok(),
+                         .detail = s.ok() ? std::string() : s.ToString()});
       }
       network_->Send(endpoint_, client_endpoint_,
                      CgmMessage{LockReplyMsg{gtid, request_id, s}});

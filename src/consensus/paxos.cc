@@ -5,6 +5,8 @@
 
 namespace hermes::consensus {
 
+using trace::EventKind;
+
 PaxosCommit::PaxosCommit(const PaxosConfig& config, sim::EventLoop* loop,
                          net::Network* network, history::Recorder* recorder,
                          core::Metrics* metrics, trace::Tracer* tracer)
@@ -30,19 +32,6 @@ void PaxosCommit::CancelTimer(sim::EventId& id) {
   }
 }
 
-void PaxosCommit::TraceEvent(trace::EventKind kind, const TxnId& gtid,
-                             SiteId peer, int64_t value, bool ok) {
-  if (tracer_ == nullptr) return;
-  trace::Event e;
-  e.kind = kind;
-  e.txn = gtid;
-  e.site = config_.site;
-  e.peer = peer;
-  e.value = value;
-  e.ok = ok;
-  tracer_->Record(std::move(e));
-}
-
 void PaxosCommit::SendToAcceptors(const core::Message& msg) {
   for (SiteId a = 0; a < static_cast<SiteId>(num_acceptors()); ++a) {
     network_->Send(config_.site, a, msg);
@@ -55,8 +44,11 @@ void PaxosCommit::BeginDecision(const TxnId& gtid,
                                 const std::vector<SiteId>& participants) {
   LeaderTxn& l = leaders_[gtid];
   l.participants = participants;
-  TraceEvent(trace::EventKind::kPaxosBegin, gtid, kInvalidSite,
-             static_cast<int64_t>(participants.size()), true);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosBegin, .txn = gtid,
+                     .site = config_.site,
+                     .value = static_cast<int64_t>(participants.size())});
+  }
   core::PaxosBeginMsg msg;
   msg.gtid = gtid;
   msg.leader = config_.site;
@@ -77,8 +69,10 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
     auto it = leaders_.find(gtid);
     if (it != leaders_.end()) CancelTimer(it->second.decide_timer);
     decided_.emplace(gtid, false);
-    TraceEvent(trace::EventKind::kPaxosDecided, gtid, kInvalidSite,
-               /*value=*/-1, /*ok=*/false);
+    if (tracer_ != nullptr) {
+      tracer_->Record({.kind = EventKind::kPaxosDecided, .txn = gtid,
+                       .site = config_.site, .ok = false});
+    }
     done(gtid, false);
     return;
   }
@@ -217,7 +211,11 @@ void PaxosCommit::Escalate(const TxnId& gtid, SiteId coordinator,
   }
   if (resolvers_.count(gtid) != 0) return;  // election already running
   ++metrics_->paxos_elections;
-  TraceEvent(trace::EventKind::kPaxosElect, gtid, coordinator, attempt, true);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosElect, .txn = gtid,
+                     .site = config_.site, .peer = coordinator,
+                     .value = attempt});
+  }
   StartResolve(gtid);
 }
 
@@ -290,8 +288,11 @@ void PaxosCommit::OnVote(SiteId /*from*/, const core::PaxosVoteMsg& msg) {
   log_.ForceAppend(std::move(rec));
   ++metrics_->paxos_forced_writes;
   ++metrics_->paxos_votes_accepted;
-  TraceEvent(trace::EventKind::kPaxosVote, msg.gtid, msg.participant,
-             /*value=*/0, msg.ready);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosVote, .txn = msg.gtid,
+                     .site = config_.site, .peer = msg.participant,
+                     .value = 0, .ok = msg.ready});
+  }
   network_->Send(
       config_.site, msg.leader,
       core::Message{core::PaxosVotedMsg{msg.gtid, msg.participant, s.ready}});
@@ -307,8 +308,10 @@ void PaxosCommit::OnPrepare(SiteId from, const core::PaxosPrepareMsg& msg) {
   rec.ballot = msg.ballot;
   log_.ForceAppend(std::move(rec));
   ++metrics_->paxos_forced_writes;
-  TraceEvent(trace::EventKind::kPaxosPromise, msg.gtid, from, msg.ballot,
-             true);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosPromise, .txn = msg.gtid,
+                     .site = config_.site, .peer = from, .value = msg.ballot});
+  }
   core::PaxosPromiseMsg reply;
   reply.gtid = msg.gtid;
   reply.ballot = msg.ballot;
@@ -353,8 +356,11 @@ void PaxosCommit::OnPropose(SiteId from, const core::PaxosProposeMsg& msg) {
   const bool would_commit =
       !msg.membership.empty() &&
       msg.ready_participants.size() == msg.membership.size();
-  TraceEvent(trace::EventKind::kPaxosAccept, msg.gtid, from, msg.ballot,
-             would_commit);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosAccept, .txn = msg.gtid,
+                     .site = config_.site, .peer = from, .value = msg.ballot,
+                     .ok = would_commit});
+  }
   network_->Send(config_.site, from,
                  core::Message{core::PaxosAcceptedMsg{msg.gtid, msg.ballot}});
 }
@@ -388,8 +394,10 @@ void PaxosCommit::SendResolvePrepare(const TxnId& gtid, ResolverTxn& r) {
   r.promises.clear();
   r.accepts.clear();
   r.proposed = false;
-  TraceEvent(trace::EventKind::kPaxosPrepare, gtid, kInvalidSite, r.ballot,
-             true);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosPrepare, .txn = gtid,
+                     .site = config_.site, .value = r.ballot});
+  }
   SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, r.ballot}});
   CancelTimer(r.retry_timer);
   sim::Duration delay = config_.resolve_retry_initial;
@@ -487,8 +495,10 @@ void PaxosCommit::OnAccepted(SiteId from, const core::PaxosAcceptedMsg& msg) {
 void PaxosCommit::Finish(const TxnId& gtid, bool commit, int64_t ballot) {
   if (decided_.count(gtid) != 0) return;
   decided_.emplace(gtid, commit);
-  TraceEvent(trace::EventKind::kPaxosDecided, gtid, kInvalidSite, ballot,
-             commit);
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kPaxosDecided, .txn = gtid,
+                     .site = config_.site, .value = ballot, .ok = commit});
+  }
   std::vector<SiteId> participants;
   auto rit = resolvers_.find(gtid);
   if (rit != resolvers_.end()) {

@@ -155,8 +155,6 @@ class PaxosCommit : public DecisionProtocol {
     return static_cast<int64_t>(attempt) * config_.num_sites + config_.site +
            1;
   }
-  void TraceEvent(trace::EventKind kind, const TxnId& gtid, SiteId peer,
-                  int64_t value, bool ok);
   void CancelTimer(sim::EventId& id);
 
   PaxosConfig config_;

@@ -8,6 +8,8 @@
 
 namespace hermes::core {
 
+using trace::EventKind;
+
 namespace {
 
 bool ShardInSet(int shard, const std::vector<int>& shards) {
@@ -115,15 +117,9 @@ void TwoPCAgent::RefuseEpoch(SiteId from, const TxnId& gtid, const char* what,
   const int64_t current = directory_ != nullptr ? directory_->epoch() : 0;
   ++metrics_->epoch_refusals;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kEpochRefused;
-    e.txn = gtid;
-    e.site = config_.site;
-    e.peer = from;
-    e.value = current;
-    e.ok = false;
-    e.detail = what;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kEpochRefused, .txn = gtid,
+                     .site = config_.site, .peer = from, .value = current,
+                     .ok = false, .detail = what});
   }
   network_->Send(config_.site, from,
                  Message{EpochRefusedMsg{gtid, current, moved_to}});
@@ -290,14 +286,9 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   AgentTxn* txn = FindTxn(msg.gtid);
   if (txn == nullptr) {
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCertRefuse;
-      e.txn = msg.gtid;
-      e.site = config_.site;
-      e.sn = msg.sn;
-      e.refuse = trace::RefuseKind::kUnknownTxn;
-      e.ok = false;
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = EventKind::kCertRefuse, .txn = msg.gtid,
+                       .site = config_.site, .sn = msg.sn,
+                       .refuse = trace::RefuseKind::kUnknownTxn, .ok = false});
     }
     SendVote(msg.gtid, from, /*ready=*/false,
              Status::NotFound("unknown transaction"));
@@ -331,14 +322,9 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
     txn->orphan_timer = sim::kInvalidEvent;
   }
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kPrepareRecv;
-    e.txn = msg.gtid;
-    e.site = config_.site;
-    e.peer = from;
-    e.resubmission = txn->resubmission;
-    e.sn = msg.sn;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kPrepareRecv, .txn = msg.gtid,
+                     .site = config_.site, .peer = from,
+                     .resubmission = txn->resubmission, .sn = msg.sn});
   }
 
   // Refresh the stored intervals first: for every prepared subtransaction
@@ -379,17 +365,11 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
         break;
     }
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCertRefuse;
-      e.txn = txn->gtid;
-      e.site = config_.site;
-      e.resubmission = txn->resubmission;
-      e.sn = msg.sn;
-      e.refuse = verdict.refuse;
-      e.ok = false;
-      e.detail = std::move(verdict.detail);
-      e.related = std::move(verdict.related);
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = EventKind::kCertRefuse, .txn = txn->gtid,
+                       .site = config_.site, .resubmission = txn->resubmission,
+                       .sn = msg.sn, .refuse = verdict.refuse, .ok = false,
+                       .detail = std::move(verdict.detail),
+                       .related = std::move(verdict.related)});
     }
     Refuse(*txn, verdict.reason);
     return;
@@ -398,22 +378,22 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   if (!txn->alive || !ltm_->IsActive(txn->ltm_handle)) {
     ++metrics_->refuse_dead;
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCertRefuse;
-      e.txn = txn->gtid;
-      e.site = config_.site;
-      e.resubmission = txn->resubmission;
-      e.sn = msg.sn;
-      e.refuse = trace::RefuseKind::kDead;
-      e.ok = false;
-      e.detail = "unilaterally aborted before prepare";
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = EventKind::kCertRefuse, .txn = txn->gtid,
+                       .site = config_.site, .resubmission = txn->resubmission,
+                       .sn = msg.sn, .refuse = trace::RefuseKind::kDead,
+                       .ok = false,
+                       .detail = "unilaterally aborted before prepare"});
     }
     txn->phase = Phase::kAborted;
     SendVote(txn->gtid, from, /*ready=*/false,
              Status::Aborted("unilaterally aborted before prepare"),
              /*read_only=*/false, txn->acting_for);
     return;
+  }
+  if (tracer_ != nullptr) {
+    tracer_->Record({.kind = EventKind::kCertReady, .txn = txn->gtid,
+                     .site = config_.site, .resubmission = txn->resubmission,
+                     .sn = msg.sn});
   }
 
   // Short-commit read-only fast path: a write-free participant that passed
@@ -426,15 +406,6 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   if (config_.short_commit) {
     const ltm::LocalTxn* local = ltm_->Find(txn->ltm_handle);
     if (local != nullptr && local->write_set.empty()) {
-      if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kCertReady;
-        e.txn = txn->gtid;
-        e.site = config_.site;
-        e.resubmission = txn->resubmission;
-        e.sn = msg.sn;
-        tracer_->Record(std::move(e));
-      }
       ltm_->recorder()->RecordPrepare(SubTxnId{txn->gtid, txn->resubmission},
                                       config_.site);
       const Status commit_status = ltm_->Commit(txn->ltm_handle);
@@ -451,20 +422,13 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
       txn->read_only = true;
       ++metrics_->short_commits_readonly;
       if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kShortCommit;
-        e.txn = txn->gtid;
-        e.site = config_.site;
-        e.resubmission = txn->resubmission;
-        e.detail = "readonly";
-        tracer_->Record(std::move(e));
-        trace::Event c;
-        c.kind = trace::EventKind::kLocalCommit;
-        c.txn = txn->gtid;
-        c.site = config_.site;
-        c.resubmission = txn->resubmission;
-        c.sn = msg.sn;
-        tracer_->Record(std::move(c));
+        tracer_->Record({.kind = EventKind::kShortCommit, .txn = txn->gtid,
+                         .site = config_.site,
+                         .resubmission = txn->resubmission,
+                         .detail = "readonly"});
+        tracer_->Record({.kind = EventKind::kLocalCommit, .txn = txn->gtid,
+                         .site = config_.site,
+                         .resubmission = txn->resubmission, .sn = msg.sn});
       }
       // No forced prepare record: with no writes there is nothing to redo
       // and nothing in doubt — one less force-write is part of the win.
@@ -476,21 +440,12 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
     }
   }
 
-  // Certification passed: force-write the prepare record, move to prepared.
+  // Force-write the prepare record, move to prepared.
   log_.ForceAppend(LogRecord{.kind = LogRecordKind::kPrepare,
                              .gtid = txn->gtid,
                              .sn = msg.sn});
   certifier_->OnPrepared(txn->gtid, candidate, msg.sn);
   txn->phase = Phase::kPrepared;
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kCertReady;
-    e.txn = txn->gtid;
-    e.site = config_.site;
-    e.resubmission = txn->resubmission;
-    e.sn = msg.sn;
-    tracer_->Record(std::move(e));
-  }
   ltm_->recorder()->RecordPrepare(SubTxnId{txn->gtid, txn->resubmission},
                                   config_.site);
   if (config_.bind_bound_data) BindAccessedItems(*txn);
@@ -553,13 +508,9 @@ void TwoPCAgent::StartResubmission(AgentTxn& txn) {
   }
   ++txn.resubmission;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kResubmitStart;
-    e.txn = txn.gtid;
-    e.site = config_.site;
-    e.resubmission = txn.resubmission;
-    e.value = txn.resubmit_attempts;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kResubmitStart, .txn = txn.gtid,
+                     .site = config_.site, .resubmission = txn.resubmission,
+                     .value = txn.resubmit_attempts});
   }
   log_.Append(
       LogRecord{.kind = LogRecordKind::kResubmission, .gtid = txn.gtid});
@@ -618,12 +569,8 @@ void TwoPCAgent::OnResubmissionComplete(AgentTxn& txn) {
   txn.resubmit_attempts = 0;
   txn.last_completion = loop_->Now();
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kResubmitDone;
-    e.txn = txn.gtid;
-    e.site = config_.site;
-    e.resubmission = txn.resubmission;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kResubmitDone, .txn = txn.gtid,
+                     .site = config_.site, .resubmission = txn.resubmission});
   }
   // "A new interval is always initiated after the resubmission of all the
   // commands is complete."
@@ -701,14 +648,9 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
                                  tracer_ != nullptr ? &waiting_on : nullptr)) {
     ++metrics_->commit_cert_retries;
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCommitRetry;
-      e.txn = txn.gtid;
-      e.site = config_.site;
-      e.resubmission = txn.resubmission;
-      e.sn = txn.sn;
-      e.related = std::move(waiting_on);
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = EventKind::kCommitRetry, .txn = txn.gtid,
+                       .site = config_.site, .resubmission = txn.resubmission,
+                       .sn = txn.sn, .related = std::move(waiting_on)});
     }
     if (txn.commit_retry_timer == sim::kInvalidEvent) {
       const TxnId gtid = txn.gtid;
@@ -765,14 +707,9 @@ void TwoPCAgent::CompleteCommit(AgentTxn& txn) {
   UnbindAll(txn);
   certifier_->OnCommitted(txn.gtid, txn.sn, loop_->Now());
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kLocalCommit;
-    e.txn = txn.gtid;
-    e.site = config_.site;
-    e.resubmission = txn.resubmission;
-    e.sn = txn.sn;
-    if (txn.csn >= 0) e.value = txn.csn;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kLocalCommit, .txn = txn.gtid,
+                     .site = config_.site, .resubmission = txn.resubmission,
+                     .value = txn.csn >= 0 ? txn.csn : -1, .sn = txn.sn});
   }
   log_.Append(LogRecord{.kind = LogRecordKind::kComplete, .gtid = txn.gtid});
   network_->Send(config_.site, txn.coordinator,
@@ -788,13 +725,9 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
   certifier_->OnRemoved(txn.gtid);
   txn.phase = Phase::kAborted;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kLocalAbort;
-    e.txn = txn.gtid;
-    e.site = config_.site;
-    e.resubmission = txn.resubmission;
-    e.ok = false;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kLocalAbort, .txn = txn.gtid,
+                     .site = config_.site, .resubmission = txn.resubmission,
+                     .ok = false});
   }
   log_.Append(LogRecord{.kind = LogRecordKind::kAbort, .gtid = txn.gtid});
   network_->Send(config_.site, txn.coordinator,
@@ -859,13 +792,9 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
     txn->phase = Phase::kAborted;
     ltm_->recorder()->RecordGlobalAbort(txn->gtid, config_.site);
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kLocalAbort;
-      e.txn = txn->gtid;
-      e.site = config_.site;
-      e.resubmission = txn->resubmission;
-      e.ok = false;
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = EventKind::kLocalAbort, .txn = txn->gtid,
+                       .site = config_.site, .resubmission = txn->resubmission,
+                       .ok = false});
     }
     log_.Append(LogRecord{.kind = LogRecordKind::kAbort, .gtid = txn->gtid});
     network_->Send(config_.site, from, Message{AckMsg{msg.gtid, false}});
@@ -886,13 +815,9 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
   ltm_->recorder()->RecordPrepare(SubTxnId{txn->gtid, txn->resubmission},
                                   config_.site);
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kShortCommit;
-    e.txn = txn->gtid;
-    e.site = config_.site;
-    e.resubmission = txn->resubmission;
-    e.detail = "1pc";
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kShortCommit, .txn = txn->gtid,
+                     .site = config_.site, .resubmission = txn->resubmission,
+                     .detail = "1pc"});
   }
   // The agent is the commit point: record the global decision *before* the
   // local commit, preserving the C_k-before-local-commit order invariant.
@@ -990,13 +915,9 @@ void TwoPCAgent::SendInquiry(const TxnId& gtid) {
   ++txn->inquiry_attempts;
   ++metrics_->inquiries_sent;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kInquirySend;
-    e.txn = gtid;
-    e.site = config_.site;
-    e.peer = txn->coordinator;
-    e.value = txn->inquiry_attempts;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kInquirySend, .txn = gtid,
+                     .site = config_.site, .peer = txn->coordinator,
+                     .value = txn->inquiry_attempts});
   }
   network_->Send(config_.site, txn->coordinator, Message{InquiryMsg{gtid}});
   // Paxos Commit: enough unanswered inquiries and the agent presumes the

@@ -7,6 +7,8 @@
 
 namespace hermes::core {
 
+using trace::EventKind;
+
 Coordinator::Coordinator(SiteId site, sim::EventLoop* loop,
                          net::Network* network, const sim::SiteClock* clock,
                          history::Recorder* recorder, Metrics* metrics,
@@ -46,12 +48,8 @@ TxnId Coordinator::Submit(GlobalTxnSpec spec, GlobalTxnCallback cb) {
   txn.cb = std::move(cb);
   txn.start_time = loop_->Now();
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kTxnBegin;
-    e.txn = gtid;
-    e.site = site_;
-    e.value = static_cast<int64_t>(txn.spec.steps.size());
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kTxnBegin, .txn = gtid, .site = site_,
+                     .value = static_cast<int64_t>(txn.spec.steps.size())});
   }
   if (sn_at_submit_) txn.sn = sn_generator_.Next();
   if (txn.spec.steps.empty()) {
@@ -98,13 +96,9 @@ void Coordinator::SendStep(CoordTxn& txn) {
                    Message{BeginMsg{txn.gtid, epoch_view_}});
   }
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kStepStart;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.peer = step.site;
-    e.value = static_cast<int64_t>(txn.next_step);
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kStepStart, .txn = txn.gtid,
+                     .site = site_, .peer = step.site,
+                     .value = static_cast<int64_t>(txn.next_step)});
   }
   network_->Send(site_, step.site,
                  Message{DmlRequestMsg{txn.gtid,
@@ -120,15 +114,11 @@ void Coordinator::OnDmlResponse(const DmlResponseMsg& msg) {
   CancelRetryTimer(*txn);
   txn->retry_attempt = 0;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kStepEnd;
-    e.txn = msg.gtid;
-    e.site = site_;
-    e.peer = txn->spec.steps[txn->next_step].site;
-    e.value = msg.cmd_index;
-    e.ok = msg.status.ok();
-    if (!msg.status.ok()) e.detail = msg.status.ToString();
-    tracer_->Record(std::move(e));
+    tracer_->Record(
+        {.kind = EventKind::kStepEnd, .txn = msg.gtid, .site = site_,
+         .peer = txn->spec.steps[txn->next_step].site,
+         .value = msg.cmd_index, .ok = msg.status.ok(),
+         .detail = msg.status.ok() ? std::string() : msg.status.ToString()});
   }
   if (!msg.status.ok()) {
     ++metrics_->global_aborted_dml;
@@ -187,13 +177,8 @@ void Coordinator::StartOnePhaseCommit(CoordTxn& txn) {
   txn.phase = Phase::kCommitting;
   txn.acks_pending = txn.begun;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kShortCommit;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.peer = participant;
-    e.detail = "1pc";
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kShortCommit, .txn = txn.gtid,
+                     .site = site_, .peer = participant, .detail = "1pc"});
   }
   // No decision record: the agent force-writes the outcome into its own
   // log, and the ACK carries it back. The 1PC-COMMIT is retransmitted
@@ -214,13 +199,8 @@ void Coordinator::SendPrepares(CoordTxn& txn) {
       txn.gtid, std::vector<SiteId>(txn.begun.begin(), txn.begun.end()));
   for (SiteId s : txn.begun) {
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kPrepareSend;
-      e.txn = txn.gtid;
-      e.site = site_;
-      e.peer = s;
-      e.sn = txn.sn;
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = EventKind::kPrepareSend, .txn = txn.gtid,
+                       .site = site_, .peer = s, .sn = txn.sn});
     }
     network_->Send(site_, Target(txn, s),
                    Message{PrepareMsg{txn.gtid, txn.sn, epoch_view_}});
@@ -238,14 +218,10 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
   txn->votes_pending.erase(voter);
   if (msg.ready && msg.read_only) txn->readonly_sites.insert(voter);
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kVoteRecv;
-    e.txn = msg.gtid;
-    e.site = site_;
-    e.peer = voter;
-    e.ok = msg.ready;
-    if (!msg.ready) e.detail = msg.reason.ToString();
-    tracer_->Record(std::move(e));
+    tracer_->Record(
+        {.kind = EventKind::kVoteRecv, .txn = msg.gtid, .site = site_,
+         .peer = voter, .ok = msg.ready,
+         .detail = msg.ready ? std::string() : msg.reason.ToString()});
   }
   if (!msg.ready) {
     ++metrics_->global_aborted_cert;
@@ -272,12 +248,8 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
       // round disappears entirely.
       recorder_->RecordGlobalCommit(txn->gtid, site_);
       if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kShortCommit;
-        e.txn = txn->gtid;
-        e.site = site_;
-        e.detail = "readonly";
-        tracer_->Record(std::move(e));
+        tracer_->Record({.kind = EventKind::kShortCommit, .txn = txn->gtid,
+                         .site = site_, .detail = "readonly"});
       }
       FinishTxn(*txn, /*committed=*/true);
       return;
@@ -289,12 +261,8 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
       txn->csn = csn_source_->Next();
       ++metrics_->csn_assigned;
       if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kCsnAssign;
-        e.txn = txn->gtid;
-        e.site = site_;
-        e.value = txn->csn;
-        tracer_->Record(std::move(e));
+        tracer_->Record({.kind = EventKind::kCsnAssign, .txn = txn->gtid,
+                         .site = site_, .value = txn->csn});
       }
     }
     // Read-only participants are already committed and owed nothing: only
@@ -342,14 +310,10 @@ void Coordinator::SendDecisions(CoordTxn& txn, bool commit) {
     if (txn.readonly_sites.count(s) != 0) continue;
     txn.acks_pending.insert(s);
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kDecisionSend;
-      e.txn = txn.gtid;
-      e.site = site_;
-      e.peer = s;
-      e.ok = commit;
-      if (!commit) e.detail = txn.failure.ToString();
-      tracer_->Record(std::move(e));
+      tracer_->Record(
+          {.kind = EventKind::kDecisionSend, .txn = txn.gtid, .site = site_,
+           .peer = s, .ok = commit,
+           .detail = commit ? std::string() : txn.failure.ToString()});
     }
     network_->Send(site_, Target(txn, s),
                    Message{DecisionMsg{txn.gtid, commit, txn.csn,
@@ -426,6 +390,8 @@ void Coordinator::OnInquiry(SiteId from, const InquiryMsg& msg) {
   // idempotent: duplicate inquiries get the same reply again, lost replies
   // are covered by the agent's capped-backoff inquiry retry timer.
   CoordTxn* txn = FindTxn(msg.gtid);
+  bool commit = false;
+  int64_t csn = -1;
   if (txn == nullptr) {
     // Unknown here: ask the decision protocol. 2PC answers presumed abort
     // (a finished transaction was acked by every participant, so an
@@ -436,45 +402,30 @@ void Coordinator::OnInquiry(SiteId from, const InquiryMsg& msg) {
     const std::optional<bool> outcome =
         protocol_->AnswerInquiry(msg.gtid, from);
     if (!outcome.has_value()) return;
-    if (!*outcome) ++metrics_->inquiries_answered_presumed_abort;
-    TraceInquiryReply(msg.gtid, from, /*commit=*/*outcome,
-                      *outcome ? nullptr : "presumed-abort");
-    network_->Send(site_, from,
-                   Message{DecisionMsg{msg.gtid, *outcome,
-                                       *outcome ? log_.DecisionCsnOf(msg.gtid)
-                                                : -1,
-                                       epoch_view_}});
+    commit = *outcome;
+    if (commit) {
+      csn = log_.DecisionCsnOf(msg.gtid);
+    } else {
+      ++metrics_->inquiries_answered_presumed_abort;
+    }
+  } else if (txn->phase == Phase::kCommitting && !txn->one_phase) {
+    commit = true;
+    csn = txn->csn;
+  } else if (txn->phase != Phase::kRollingBack) {
+    // Still executing/preparing/deciding: stay silent, the agent retries
+    // (while deciding, the protocol is already resolving the outcome).
+    // Short-commit 1PC: the outcome lives at the agent, not here — the
+    // unbounded 1PC-COMMIT retransmission resolves the agent.
     return;
   }
-  if (txn->phase == Phase::kCommitting) {
-    // Short-commit 1PC: the outcome lives at the agent, not here — stay
-    // silent; the unbounded 1PC-COMMIT retransmission resolves the agent.
-    if (txn->one_phase) return;
-    TraceInquiryReply(msg.gtid, from, /*commit=*/true, nullptr);
-    network_->Send(site_, from,
-                   Message{DecisionMsg{msg.gtid, true, txn->csn,
-                                       epoch_view_}});
-  } else if (txn->phase == Phase::kRollingBack) {
-    TraceInquiryReply(msg.gtid, from, /*commit=*/false, nullptr);
-    network_->Send(site_, from,
-                   Message{DecisionMsg{msg.gtid, false, /*csn=*/-1,
-                                       epoch_view_}});
+  if (tracer_ != nullptr) {
+    tracer_->Record(
+        {.kind = EventKind::kInquiryReply, .txn = msg.gtid, .site = site_,
+         .peer = from, .ok = commit,
+         .detail = txn == nullptr && !commit ? "presumed-abort" : ""});
   }
-  // Still executing/preparing/deciding: stay silent, the agent retries
-  // (while deciding, the protocol is already resolving the outcome).
-}
-
-void Coordinator::TraceInquiryReply(const TxnId& gtid, SiteId peer,
-                                    bool commit, const char* detail) {
-  if (tracer_ == nullptr) return;
-  trace::Event e;
-  e.kind = trace::EventKind::kInquiryReply;
-  e.txn = gtid;
-  e.site = site_;
-  e.peer = peer;
-  e.ok = commit;
-  if (detail != nullptr) e.detail = detail;
-  tracer_->Record(std::move(e));
+  network_->Send(site_, from,
+                 Message{DecisionMsg{msg.gtid, commit, csn, epoch_view_}});
 }
 
 void Coordinator::StartRollback(CoordTxn& txn, const Status& reason,
@@ -499,13 +450,8 @@ void Coordinator::OnAck(SiteId from, const AckMsg& msg) {
     return;
   }
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kAckRecv;
-    e.txn = msg.gtid;
-    e.site = site_;
-    e.peer = from;
-    e.ok = msg.commit;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kAckRecv, .txn = msg.gtid,
+                     .site = site_, .peer = from, .ok = msg.commit});
   }
   // As with votes: an adopting site acks under the original participant id.
   SiteId acker = msg.on_behalf_of != kInvalidSite ? msg.on_behalf_of : from;
@@ -645,14 +591,9 @@ void Coordinator::TraceRetransmit(const CoordTxn& txn, SiteId peer,
                                   const char* what) {
   ++metrics_->retransmits;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kRetransmit;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.peer = peer;
-    e.value = txn.retry_attempt;
-    e.detail = what;
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = EventKind::kRetransmit, .txn = txn.gtid,
+                     .site = site_, .peer = peer, .value = txn.retry_attempt,
+                     .detail = what});
   }
 }
 
@@ -776,14 +717,10 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
     ++metrics_->global_aborted;
   }
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kTxnEnd;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.value = loop_->Now() - txn.start_time;
-    e.ok = committed;
-    if (!committed) e.detail = txn.failure.ToString();
-    tracer_->Record(std::move(e));
+    tracer_->Record(
+        {.kind = EventKind::kTxnEnd, .txn = txn.gtid, .site = site_,
+         .value = loop_->Now() - txn.start_time, .ok = committed,
+         .detail = committed ? std::string() : txn.failure.ToString()});
   }
   if (hooks_.on_finished) hooks_.on_finished(txn.gtid, committed);
   GlobalTxnResult result;

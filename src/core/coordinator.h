@@ -249,14 +249,13 @@ class Coordinator {
   // Re-fetches the shard map when the cached view is stale and re-targets
   // the transaction's unexecuted steps by key ownership.
   void RefreshRouting(CoordTxn& txn);
-  void TraceInquiryReply(const TxnId& gtid, SiteId peer, bool commit,
-                         const char* detail);
   void FinishTxn(CoordTxn& txn, bool committed);
 
   // Retransmission machinery.
   void ArmRetryTimer(CoordTxn& txn);
   void CancelRetryTimer(CoordTxn& txn);
   void OnRetryTimeout(const TxnId& gtid);
+  // Counts and traces one re-sent message to `peer`; `what` names its kind.
   void TraceRetransmit(const CoordTxn& txn, SiteId peer, const char* what);
 
   CoordTxn* FindTxn(const TxnId& gtid);

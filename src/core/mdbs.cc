@@ -20,12 +20,10 @@ struct Mdbs::LocalRun : std::enable_shared_from_this<Mdbs::LocalRun> {
 
   void Start() {
     if (mdbs->config_.tracer != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kLocalTxnBegin;
-      e.txn = id;
-      e.site = spec.site;
-      e.value = static_cast<int64_t>(spec.commands.size());
-      mdbs->config_.tracer->Record(std::move(e));
+      mdbs->config_.tracer->Record(
+          {.kind = trace::EventKind::kLocalTxnBegin, .txn = id,
+           .site = spec.site,
+           .value = static_cast<int64_t>(spec.commands.size())});
     }
     handle = mdbs->ltm(spec.site)->Begin(SubTxnId{id, 0});
     RunNext();
@@ -70,13 +68,10 @@ struct Mdbs::LocalRun : std::enable_shared_from_this<Mdbs::LocalRun> {
 
   void Finish(const Status& status) {
     if (mdbs->config_.tracer != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kLocalTxnEnd;
-      e.txn = id;
-      e.site = spec.site;
-      e.ok = status.ok();
-      if (!status.ok()) e.detail = status.ToString();
-      mdbs->config_.tracer->Record(std::move(e));
+      mdbs->config_.tracer->Record(
+          {.kind = trace::EventKind::kLocalTxnEnd, .txn = id,
+           .site = spec.site, .ok = status.ok(),
+           .detail = status.ok() ? std::string() : status.ToString()});
     }
     if (cb) {
       cb(LocalTxnResult{id, status, std::move(results)});
@@ -331,12 +326,10 @@ Status Mdbs::CrashSite(SiteId site, sim::Duration downtime) {
   if (!s.up) return Status::Ok();  // already down: a second crash is a no-op
   s.up = false;
   if (config_.tracer != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kSiteCrash;
-    e.site = site;
-    e.ok = false;
-    e.value = downtime < 0 ? -1 : downtime;
-    config_.tracer->Record(std::move(e));
+    config_.tracer->Record({.kind = trace::EventKind::kSiteCrash,
+                            .site = site,
+                            .value = downtime < 0 ? -1 : downtime,
+                            .ok = false});
   }
   // A down site answers nothing: drop its endpoint so messages to it —
   // including ones already in flight — vanish (counted as drops).
@@ -391,10 +384,8 @@ void Mdbs::RecoverSiteNow(SiteId site) {
   s.agent->Recover();
   s.coordinator->Recover();
   if (config_.tracer != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kSiteRecover;
-    e.site = site;
-    config_.tracer->Record(std::move(e));
+    config_.tracer->Record({.kind = trace::EventKind::kSiteRecover,
+                            .site = site});
   }
 }
 

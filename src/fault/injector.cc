@@ -11,13 +11,9 @@ namespace {
 
 void Fire(const FaultEvent& ev, core::Mdbs* mdbs, trace::Tracer* tracer) {
   if (tracer != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kFaultEvent;
-    e.site = ev.site;
-    e.peer = ev.peer;
-    e.detail = FaultKindName(ev.kind);
-    e.value = ev.duration;
-    tracer->Record(std::move(e));
+    tracer->Record({.kind = trace::EventKind::kFaultEvent, .site = ev.site,
+                    .peer = ev.peer, .value = ev.duration,
+                    .detail = FaultKindName(ev.kind)});
   }
   sim::EventLoop* loop = mdbs->loop();
   switch (ev.kind) {

@@ -146,14 +146,10 @@ Status Ltm::AbortInternal(LtmTxnHandle handle, bool unilateral,
   if (unilateral) {
     ++stats_.unilateral_aborts;
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kUnilateralAbort;
-      e.txn = txn->id.txn;
-      e.site = config_.site;
-      e.resubmission = txn->id.resubmission;
-      e.ok = false;
-      e.detail = reason.ToString();
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = trace::EventKind::kUnilateralAbort,
+                       .txn = txn->id.txn, .site = config_.site,
+                       .resubmission = txn->id.resubmission, .ok = false,
+                       .detail = reason.ToString()});
     }
     if (txn->global() && uan_listener_) {
       // Deliver UAN asynchronously to avoid re-entrancy into the agent.

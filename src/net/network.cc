@@ -47,26 +47,11 @@ double Network::LinkLoss(SiteId from, SiteId to) const {
   return it != link_loss_.end() ? it->second : config_.loss_prob;
 }
 
-void Network::Drop(SiteId from, SiteId to, DropCause cause) {
+void Network::Drop(SiteId from, SiteId to, const char* cause) {
   ++messages_dropped_;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kMsgDrop;
-    e.site = from;
-    e.peer = to;
-    e.ok = false;
-    switch (cause) {
-      case DropCause::kUnregistered:
-        e.detail = "unregistered";
-        break;
-      case DropCause::kPartition:
-        e.detail = "partition";
-        break;
-      case DropCause::kLoss:
-        e.detail = "loss";
-        break;
-    }
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = trace::EventKind::kMsgDrop, .site = from,
+                     .peer = to, .ok = false, .detail = cause});
   }
 }
 
@@ -94,18 +79,18 @@ void Network::Send(SiteId from, SiteId to, std::any payload) {
   if (endpoints_.find(to) == endpoints_.end()) {
     // Destination crashed or never started: a real WAN message to a dead
     // host just vanishes — never abort the simulation.
-    Drop(from, to, DropCause::kUnregistered);
+    Drop(from, to, "unregistered");
     return;
   }
   const bool local = from == to;
   if (!local) {
     if (Partitioned(from, to)) {
-      Drop(from, to, DropCause::kPartition);
+      Drop(from, to, "partition");
       return;
     }
     const double loss = LinkLoss(from, to);
     if (loss > 0 && rng_.NextBool(loss)) {
-      Drop(from, to, DropCause::kLoss);
+      Drop(from, to, "loss");
       return;
     }
   }
@@ -132,12 +117,8 @@ void Network::Send(SiteId from, SiteId to, std::any payload) {
     last = at;
   }
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kMsgSend;
-    e.site = from;
-    e.peer = to;
-    e.value = at - loop_->Now();
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = trace::EventKind::kMsgSend, .site = from,
+                     .peer = to, .value = at - loop_->Now()});
   }
   if (!local && config_.dup_prob > 0 && rng_.NextBool(config_.dup_prob)) {
     // Deliver a second copy after an independent extra delay, outside the
@@ -149,12 +130,8 @@ void Network::Send(SiteId from, SiteId to, std::any payload) {
           static_cast<uint64_t>(config_.reorder_window) + 1));
     }
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kMsgDup;
-      e.site = from;
-      e.peer = to;
-      e.value = at + extra - loop_->Now();
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = trace::EventKind::kMsgDup, .site = from,
+                       .peer = to, .value = at + extra - loop_->Now()});
     }
     Deliver(from, to, at + extra, payload);
   }

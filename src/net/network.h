@@ -104,10 +104,9 @@ class Network {
   int64_t messages_reordered() const { return messages_reordered_; }
 
  private:
-  // Why a message never reached its destination handler (trace detail).
-  enum class DropCause { kUnregistered, kPartition, kLoss };
-
-  void Drop(SiteId from, SiteId to, DropCause cause);
+  // Counts and traces a message that never reaches its destination
+  // handler; `cause` is the trace detail (unregistered / partition / loss).
+  void Drop(SiteId from, SiteId to, const char* cause);
   void Deliver(SiteId from, SiteId to, sim::Time at, std::any payload);
   double LinkLoss(SiteId from, SiteId to) const;
   sim::Duration DrawDelay(SiteId from, SiteId to);

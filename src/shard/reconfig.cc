@@ -130,13 +130,10 @@ void Controller::Fence(const ReconfigOp& op) {
   directory_->Install(std::move(next));
   if (metrics_ != nullptr) ++metrics_->reconfig_started;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kReconfigBegin;
-    e.site = op.kind == ReconfigKind::kAddSite ? to_ : op.site;
-    e.peer = to_;
-    e.value = directory_->epoch();
-    e.detail = ReconfigKindName(op.kind);
-    tracer_->Record(std::move(e));
+    tracer_->Record({.kind = trace::EventKind::kReconfigBegin,
+                     .site = op.kind == ReconfigKind::kAddSite ? to_ : op.site,
+                     .peer = to_, .value = directory_->epoch(),
+                     .detail = ReconfigKindName(op.kind)});
   }
 }
 
@@ -171,12 +168,8 @@ void Controller::PollDrain() {
     directory_->Install(std::move(next));
     if (metrics_ != nullptr) metrics_->reconfig_rows_moved += rows;
     if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kReconfigHandoff;
-      e.site = m.from;
-      e.peer = to_;
-      e.value = rows;
-      tracer_->Record(std::move(e));
+      tracer_->Record({.kind = trace::EventKind::kReconfigHandoff,
+                       .site = m.from, .peer = to_, .value = rows});
     }
     m.done = true;
   }
@@ -197,13 +190,11 @@ void Controller::Finish() {
   }
   if (metrics_ != nullptr) ++metrics_->reconfig_completed;
   if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kReconfigDone;
-    e.site = op_.kind == ReconfigKind::kAddSite ? to_ : op_.site;
-    e.peer = to_;
-    e.value = directory_->epoch();
-    e.detail = ReconfigKindName(op_.kind);
-    tracer_->Record(std::move(e));
+    tracer_->Record(
+        {.kind = trace::EventKind::kReconfigDone,
+         .site = op_.kind == ReconfigKind::kAddSite ? to_ : op_.site,
+         .peer = to_, .value = directory_->epoch(),
+         .detail = ReconfigKindName(op_.kind)});
   }
   busy_ = false;
   if (done_) {

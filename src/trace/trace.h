@@ -8,9 +8,22 @@
 // baseline's centralized scheduler decisions.
 //
 // Every protocol component takes an optional `Tracer*`; a null pointer
-// means tracing is disabled and each hook is a single branch
-// (`if (tracer_ != nullptr)`), cheap enough for the certifier hot paths
-// (measured by bench_certifier_micro). Because all components run on one
+// means tracing is disabled. There is one way to emit an event: build it in
+// place with designated initializers, behind a single null check.
+//
+//   if (tracer_ != nullptr) {
+//     tracer_->Record({.kind = EventKind::kVoteRecv, .txn = gtid,
+//                      .site = site_, .peer = voter, .ok = ready,
+//                      .detail = ready ? std::string() : reason.ToString()});
+//   }
+//
+// Designators must follow Event's declaration order (seq, at, kind, txn,
+// site, peer, resubmission, value, sn, refuse, ok, detail, related); the
+// tracer stamps `seq` and `at`, and unnamed fields keep their defaults. A
+// field that is set only in some cases becomes an expression yielding the
+// default otherwise. With tracing off the hook is one branch that builds no
+// Event and no string, cheap enough for the certifier hot paths (measured
+// by bench_certifier_micro). Because all components run on one
 // deterministic EventLoop, two runs with the same seed produce byte-
 // identical traces — the JSONL export is suitable for golden files and for
 // cross-run diffing.

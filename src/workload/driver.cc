@@ -81,12 +81,8 @@ void InstallFailureInjector(const std::shared_ptr<RunState>& st) {
                                      st->config.prepared_abort_max_delay) +
                                  1));
           if (st->config.tracer != nullptr) {
-            trace::Event e;
-            e.kind = trace::EventKind::kInjectFailure;
-            e.txn = gtid;
-            e.site = s;
-            e.value = delay;
-            st->config.tracer->Record(std::move(e));
+            st->config.tracer->Record({.kind = trace::EventKind::kInjectFailure,
+                                       .txn = gtid, .site = s, .value = delay});
           }
           st->loop->ScheduleAfter(delay, [ltm, handle]() {
             // The handle may already be superseded by a resubmission or
