@@ -522,12 +522,15 @@ void PaxosCommit::Finish(const TxnId& gtid, bool commit, int64_t ballot) {
   }
   // Resolver path — the coordinator is dead or never asked. Record the
   // global outcome (the Recorder deduplicates against a coordinator that
-  // recorded before crashing, and against other resolvers) and deliver the
-  // decision to every participant and inquirer directly.
+  // recorded before crashing, and against other resolvers), count it if
+  // this is its first record, and deliver the decision to every
+  // participant and inquirer directly.
   if (commit) {
-    recorder_->RecordGlobalCommit(gtid, config_.site);
-  } else {
-    recorder_->RecordGlobalAbort(gtid, config_.site);
+    if (recorder_->RecordGlobalCommit(gtid, config_.site)) {
+      ++metrics_->global_committed;
+    }
+  } else if (recorder_->RecordGlobalAbort(gtid, config_.site)) {
+    ++metrics_->global_aborted;
   }
   std::set<SiteId> targets(participants.begin(), participants.end());
   auto qit = requesters_.find(gtid);

@@ -282,12 +282,12 @@ void Coordinator::OnDecided(const TxnId& gtid, bool commit) {
   CoordTxn* txn = FindTxn(gtid);
   if (txn == nullptr || txn->phase != Phase::kDeciding) return;
   if (commit) {
-    recorder_->RecordGlobalCommit(gtid, site_);
+    txn->counted_elsewhere = !recorder_->RecordGlobalCommit(gtid, site_);
     txn->phase = Phase::kCommitting;
     SendDecisions(*txn, /*commit=*/true);
     return;
   }
-  recorder_->RecordGlobalAbort(gtid, site_);
+  txn->counted_elsewhere = !recorder_->RecordGlobalAbort(gtid, site_);
   txn->phase = Phase::kRollingBack;
   if (txn->failure.ok()) {
     txn->failure = Status::Aborted("decision protocol aborted");
@@ -497,26 +497,31 @@ void Coordinator::Crash() {
         // no redelivery pass (the acceptor quorum is the durable truth and
         // participants pull from it), so the chosen commit is tallied
         // here or it would never be counted.
-        if (!protocol_->PresumesAbortOnCrash()) ++metrics_->global_committed;
+        if (!protocol_->PresumesAbortOnCrash() && !txn.counted_elsewhere) {
+          ++metrics_->global_committed;
+        }
         break;
       case Phase::kRollingBack:
         // The abort was already recorded by OnDecided; only the metrics
         // counter (normally bumped in FinishTxn) is still owed.
-        ++metrics_->global_aborted;
+        if (!txn.counted_elsewhere) ++metrics_->global_aborted;
         break;
       case Phase::kExecuting:
       case Phase::kPreparing:
       case Phase::kDeciding:
         // Undecided towards this client either way (the pre-crash
         // coordinator can no longer report an outcome). Under 2PC the
-        // transaction is presumed aborted and recorded as such; under
-        // Paxos Commit the outcome may still be sealed COMMIT by the
-        // acceptors and delivered by a resolver, so nothing is recorded
-        // here — the resolver records whatever gets chosen.
+        // transaction is presumed aborted and recorded as such. Under
+        // Paxos Commit the outcome is whatever the acceptors choose, which
+        // may still be COMMIT: the resolver that first records it counts
+        // it. Only a transaction that never reached the vote round is
+        // counted here — without a decision round no resolver can run.
         if (protocol_->PresumesAbortOnCrash()) {
           recorder_->RecordGlobalAbort(txn.gtid, site_);
+          ++metrics_->global_aborted;
+        } else if (txn.phase == Phase::kExecuting) {
+          ++metrics_->global_aborted;
         }
-        ++metrics_->global_aborted;
         ++metrics_->global_aborted_crash;
         break;
     }
@@ -692,7 +697,7 @@ void Coordinator::OnRetryTimeout(const TxnId& gtid) {
 void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
   CancelRetryTimer(txn);
   if (committed) {
-    ++metrics_->global_committed;
+    if (!txn.counted_elsewhere) ++metrics_->global_committed;
     // Recovered transactions span a crash: their start_time was rebuilt at
     // recovery and would poison the latency distribution.
     if (!txn.recovered) {
@@ -713,7 +718,7 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
     // buffered forget record — losing it only costs a harmless re-delivery
     // after a crash).
     protocol_->Forget(txn.gtid);
-  } else {
+  } else if (!txn.counted_elsewhere) {
     ++metrics_->global_aborted;
   }
   if (tracer_ != nullptr) {

@@ -209,6 +209,9 @@ class Coordinator {
     // Rebuilt from the log by Recover(): the decision is already recorded,
     // so only re-drive delivery (and skip the latency sample).
     bool recovered = false;
+    // Paxos Commit: a resolver recorded the outcome before this coordinator
+    // learned it, and counted it then.
+    bool counted_elsewhere = false;
     sim::Time start_time = 0;
     // When Commit was submitted — the start of the commit protocol path
     // (prepare/vote/decision rounds, or the 1PC round). The single-site

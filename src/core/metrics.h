@@ -15,7 +15,8 @@
 namespace hermes::core {
 
 struct Metrics {
-  // Global transaction outcomes (coordinator view).
+  // Global transaction outcomes, counted once by whoever records them first
+  // (the coordinator; under Paxos Commit possibly a resolver).
   int64_t global_committed = 0;
   int64_t global_aborted = 0;
   int64_t global_aborted_cert = 0;      // aborted due to certification REFUSE
@@ -29,7 +30,10 @@ struct Metrics {
   // Crash recovery (coordinator log + agent inquiry machinery).
   int64_t coordinator_crashes = 0;   // coordinator role lost volatile state
   int64_t coordinator_redelivered_decisions = 0;  // re-driven from the log
-  int64_t global_aborted_crash = 0;  // undecided txns failed by a coord crash
+  // Undecided txns failed by a coordinator crash. Under Paxos Commit the
+  // acceptors may still commit such a transaction; it then also counts in
+  // global_committed (and in global_aborted only if the choice is abort).
+  int64_t global_aborted_crash = 0;
   int64_t inquiries_sent = 0;        // InquiryMsg probes from prepared agents
   int64_t inquiries_answered_presumed_abort = 0;  // unknown-txn replies
 

@@ -67,32 +67,32 @@ void Recorder::RecordMigrateOut(const SubTxnId& subtxn, SiteId site) {
   Append(std::move(op));
 }
 
-void Recorder::RecordGlobalCommit(const TxnId& txn, SiteId coordinator_site) {
-  if (!RecordGlobalDecision(txn, /*commit=*/true)) return;
-  Op op;
-  op.kind = OpKind::kGlobalCommit;
-  op.subtxn = SubTxnId{txn, 0};
-  op.site = coordinator_site;
-  Append(std::move(op));
+bool Recorder::RecordGlobalCommit(const TxnId& txn, SiteId coordinator_site) {
+  return RecordGlobalDecision(txn, coordinator_site, /*commit=*/true);
 }
 
-void Recorder::RecordGlobalAbort(const TxnId& txn, SiteId coordinator_site) {
-  if (!RecordGlobalDecision(txn, /*commit=*/false)) return;
-  Op op;
-  op.kind = OpKind::kGlobalAbort;
-  op.subtxn = SubTxnId{txn, 0};
-  op.site = coordinator_site;
-  Append(std::move(op));
+bool Recorder::RecordGlobalAbort(const TxnId& txn, SiteId coordinator_site) {
+  return RecordGlobalDecision(txn, coordinator_site, /*commit=*/false);
 }
 
-bool Recorder::RecordGlobalDecision(const TxnId& txn, bool commit) {
+bool Recorder::RecordGlobalDecision(const TxnId& txn, SiteId coordinator_site,
+                                    bool commit) {
   // Under Paxos Commit the same chosen outcome may be learned — and
   // reported — by the leader and by several independent resolvers. The
   // repeats carry no information, so only the first record of a given
   // outcome is kept. A *conflicting* outcome is still appended: that is a
   // genuine atomicity violation and must stay visible to the oracles.
-  auto [it, inserted] = global_decisions_.emplace(txn, commit);
-  return inserted || it->second != commit;
+  // The map is kept with recording disabled too, so the first-record answer
+  // (and the metrics counted on it) never depends on history recording.
+  auto [it, first] = global_decisions_.emplace(txn, commit);
+  if (first || it->second != commit) {
+    Op op;
+    op.kind = commit ? OpKind::kGlobalCommit : OpKind::kGlobalAbort;
+    op.subtxn = SubTxnId{txn, 0};
+    op.site = coordinator_site;
+    Append(std::move(op));
+  }
+  return first;
 }
 
 std::string Recorder::ToString() const {

@@ -38,8 +38,10 @@ class Recorder {
   // `site`; the subtransaction's outcome there is settled by the adopting
   // site (the atomicity oracle treats the source site as closed).
   void RecordMigrateOut(const SubTxnId& subtxn, SiteId site);
-  void RecordGlobalCommit(const TxnId& txn, SiteId coordinator_site);
-  void RecordGlobalAbort(const TxnId& txn, SiteId coordinator_site);
+  // Global outcomes. Each returns true if it is the first outcome recorded
+  // for `txn`: whoever learns an outcome first counts it in the metrics.
+  bool RecordGlobalCommit(const TxnId& txn, SiteId coordinator_site);
+  bool RecordGlobalAbort(const TxnId& txn, SiteId coordinator_site);
 
   const std::vector<Op>& ops() const { return ops_; }
   size_t size() const { return ops_.size(); }
@@ -52,10 +54,11 @@ class Recorder {
 
  private:
   void Append(Op op);
-  // Returns true if this (txn, outcome) should be appended: duplicate
-  // same-outcome global decisions (leader + resolvers under Paxos Commit)
-  // are dropped, conflicting ones kept for the atomicity oracle.
-  bool RecordGlobalDecision(const TxnId& txn, bool commit);
+  // Appends the global outcome unless it repeats one already recorded
+  // (leader + resolvers under Paxos Commit); a conflicting outcome is kept
+  // for the atomicity oracle. Returns true for the first outcome of `txn`.
+  bool RecordGlobalDecision(const TxnId& txn, SiteId coordinator_site,
+                            bool commit);
 
   const sim::EventLoop* loop_;
   bool enabled_ = true;

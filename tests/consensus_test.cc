@@ -9,11 +9,13 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "consensus/paxos.h"
 #include "core/mdbs.h"
 #include "fault/fault_plan.h"
+#include "fault/injector.h"
 #include "runner/runner.h"
 #include "workload/driver.h"
 
@@ -200,6 +202,71 @@ TEST_F(PaxosMdbsTest, AcceptorCrashWithinFIsTolerated) {
   EXPECT_EQ(mdbs->metrics().paxos_decided_fast, 1);
   EXPECT_EQ(Val(*mdbs, 1), 7);
   EXPECT_EQ(Val(*mdbs, 3), 7);
+}
+
+// Under Paxos Commit the outcome is the value the acceptors choose, not the
+// coordinator's view at its crash: a transaction whose coordinator crashes
+// undecided and that a resolver later commits counts as committed, once.
+// Chaos with crashes triggered right after local prepares; every global
+// COMMIT in the history must be in global_committed.
+TEST_F(PaxosMdbsTest, ChaosCountsEveryChosenCommitOnce) {
+  constexpr int kSites = 4;
+  constexpr int kRows = 8;
+  constexpr int kTxns = 80;
+  core::MdbsConfig config;
+  config.num_sites = kSites;
+  config.protocol = consensus::ProtocolKind::kPaxosCommit;
+  config.paxos_f = 1;
+  config.network.seed = 3;
+  config.network.loss_prob = 0.02;
+  config.agent.decision_inquiry_timeout = 30 * sim::kMillisecond;
+  config.agent.inquiry_retry_initial = 10 * sim::kMillisecond;
+  config.agent.inquiry_retry_max = 40 * sim::kMillisecond;
+  config.agent.orphan_abort_timeout = 800 * sim::kMillisecond;
+  core::Mdbs mdbs(config, &loop_);
+  table_ = *mdbs.CreateTableEverywhere("t");
+  for (SiteId s = 0; s < kSites; ++s) {
+    for (int64_t key = 1; key <= kRows; ++key) {
+      ASSERT_TRUE(mdbs.LoadRow(s, table_, key,
+                               db::Row{{"v", db::Value(int64_t{0})}})
+                      .ok());
+    }
+  }
+  loop_.set_max_events(10'000'000);
+  fault::ChaosOptions opts;
+  opts.num_sites = kSites;
+  opts.horizon = 2 * sim::kSecond;
+  opts.crashes = 4;
+  opts.triggered_fraction = 0.5;
+  fault::InstallFaultPlan(fault::GenerateChaosPlan(7, opts), &mdbs);
+
+  for (int i = 0; i < kTxns; ++i) {
+    loop_.ScheduleAt(i * 25 * sim::kMillisecond, [this, &mdbs, i]() {
+      const int64_t key = 1 + i % kRows;
+      core::GlobalTxnSpec spec;
+      for (SiteId s : {(i + 1) % kSites, (i + 2) % kSites}) {
+        spec.steps.push_back(
+            {s, db::MakeAddKey(table_, key, "v", int64_t{1}), {}});
+      }
+      mdbs.Submit(std::move(spec), nullptr,
+                  /*coordinator_site=*/i % kSites);
+    });
+  }
+  loop_.RunUntil(30 * sim::kSecond);
+
+  std::set<TxnId> commits;
+  for (const history::Op& op : mdbs.recorder().ops()) {
+    if (op.kind == history::OpKind::kGlobalCommit) {
+      commits.insert(op.subtxn.txn);
+    }
+  }
+  const core::Metrics m = mdbs.metrics();
+  // The plan must reach the case under test: coordinators lost undecided
+  // transactions that resolvers then decided.
+  ASSERT_GT(m.global_aborted_crash, 0);
+  ASSERT_GT(m.paxos_decided_resolved, 0);
+  EXPECT_EQ(m.global_committed, static_cast<int64_t>(commits.size()));
+  EXPECT_EQ(m.global_committed + m.global_aborted, kTxns);
 }
 
 // --- acceptor state machine + durable log, driven directly ------------------

@@ -91,11 +91,11 @@ std::vector<GoldenCase> Corpus() {
       {"paxos_sn", BaseSpec("paxos_sn", kPaxos, kSn, false),
        0xfbbcd2d21f620560ull, {}},
       {"paxos_sn_chaos", BaseSpec("paxos_sn_chaos", kPaxos, kSn, true),
-       0xf1afc8ad90f31154ull, {}},
+       0xf81c7ceff5340445ull, {}},
       {"paxos_csn", BaseSpec("paxos_csn", kPaxos, kCsn, false),
        0xfbbcd2d21f620560ull, {}},
       {"paxos_csn_chaos", BaseSpec("paxos_csn_chaos", kPaxos, kCsn, true),
-       0xf1afc8ad90f31154ull, {}},
+       0xf81c7ceff5340445ull, {}},
   };
 
   // Short commit (1PC + read-only fast paths) with decision-time CSNs and
@@ -145,7 +145,7 @@ std::vector<GoldenCase> Corpus() {
   // A chaos case captured by the binary ring backend.
   GoldenCase binary{"paxos_sn_chaos_binary",
                     BaseSpec("paxos_sn_chaos_binary", kPaxos, kSn, true),
-                    0xf07fb4165e8fb64dull,
+                    0xc6c99137af11ec6eull,
                     {EventKind::kPaxosDecided, EventKind::kRetransmit,
                      EventKind::kMsgDrop, EventKind::kSiteCrash}};
   binary.spec.trace_options.format = trace::TraceFormat::kBinary;
