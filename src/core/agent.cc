@@ -390,6 +390,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
              /*read_only=*/false, txn->acting_for);
     return;
   }
+  // Certification passed.
   if (tracer_ != nullptr) {
     tracer_->Record({.kind = EventKind::kCertReady, .txn = txn->gtid,
                      .site = config_.site, .resubmission = txn->resubmission,

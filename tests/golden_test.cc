@@ -33,8 +33,7 @@ uint64_t Fnv1a64(const std::string& s) {
 // (so a case that silently stops exercising its emit sites fails even if
 // someone regenerates the digest).
 struct GoldenCase {
-  const char* name;
-  runner::RunSpec spec;
+  runner::RunSpec spec;  // spec.cell names the case
   uint64_t digest;
   std::vector<trace::EventKind> targets;
 };
@@ -80,28 +79,21 @@ std::vector<GoldenCase> Corpus() {
   // Paxos Commit downgrades CSN certification to SN (see core::MdbsConfig),
   // so each paxos_csn case digests like its paxos_sn sibling.
   std::vector<GoldenCase> corpus = {
-      {"2pc_sn", BaseSpec("2pc_sn", k2PC, kSn, false), 0x7c96e07124689502ull,
+      {BaseSpec("2pc_sn", k2PC, kSn, false), 0x7c96e07124689502ull, {}},
+      {BaseSpec("2pc_sn_chaos", k2PC, kSn, true), 0x39b0d7589fedcb06ull, {}},
+      {BaseSpec("2pc_csn", k2PC, kCsn, false), 0x3f857057a9d902cfull, {}},
+      {BaseSpec("2pc_csn_chaos", k2PC, kCsn, true), 0x027e133a642aeefcull, {}},
+      {BaseSpec("paxos_sn", kPaxos, kSn, false), 0xfbbcd2d21f620560ull, {}},
+      {BaseSpec("paxos_sn_chaos", kPaxos, kSn, true), 0xf81c7ceff5340445ull,
        {}},
-      {"2pc_sn_chaos", BaseSpec("2pc_sn_chaos", k2PC, kSn, true),
-       0x39b0d7589fedcb06ull, {}},
-      {"2pc_csn", BaseSpec("2pc_csn", k2PC, kCsn, false),
-       0x3f857057a9d902cfull, {}},
-      {"2pc_csn_chaos", BaseSpec("2pc_csn_chaos", k2PC, kCsn, true),
-       0x027e133a642aeefcull, {}},
-      {"paxos_sn", BaseSpec("paxos_sn", kPaxos, kSn, false),
-       0xfbbcd2d21f620560ull, {}},
-      {"paxos_sn_chaos", BaseSpec("paxos_sn_chaos", kPaxos, kSn, true),
-       0xf81c7ceff5340445ull, {}},
-      {"paxos_csn", BaseSpec("paxos_csn", kPaxos, kCsn, false),
-       0xfbbcd2d21f620560ull, {}},
-      {"paxos_csn_chaos", BaseSpec("paxos_csn_chaos", kPaxos, kCsn, true),
-       0xf81c7ceff5340445ull, {}},
+      {BaseSpec("paxos_csn", kPaxos, kCsn, false), 0xfbbcd2d21f620560ull, {}},
+      {BaseSpec("paxos_csn_chaos", kPaxos, kCsn, true), 0xf81c7ceff5340445ull,
+       {}},
   };
 
   // Short commit (1PC + read-only fast paths) with decision-time CSNs and
   // local clients at every site.
-  GoldenCase short_commit{"2pc_csn_short",
-                          BaseSpec("2pc_csn_short", k2PC, kCsn, false),
+  GoldenCase short_commit{BaseSpec("2pc_csn_short", k2PC, kCsn, false),
                           0x5c6dacedf615bdb8ull,
                           {EventKind::kShortCommit, EventKind::kCsnAssign,
                            EventKind::kLocalTxnBegin, EventKind::kLocalTxnEnd}};
@@ -113,8 +105,7 @@ std::vector<GoldenCase> Corpus() {
   corpus.push_back(std::move(short_commit));
 
   // Sharded 2PC under chaos with live membership changes.
-  GoldenCase reconfig{"2pc_sn_sharded_reconfig",
-                      BaseSpec("2pc_sn_sharded_reconfig", k2PC, kSn, false),
+  GoldenCase reconfig{BaseSpec("2pc_sn_sharded_reconfig", k2PC, kSn, true),
                       0x876a7e9c14cb475aull,
                       {EventKind::kReconfigBegin, EventKind::kReconfigHandoff,
                        EventKind::kReconfigDone, EventKind::kEpochRefused}};
@@ -122,10 +113,6 @@ std::vector<GoldenCase> Corpus() {
     workload::WorkloadConfig& config = reconfig.spec.config;
     config.num_shards = 16;
     config.max_sites = 6;
-    config.net_loss_prob = 0.02;
-    config.drain_grace = 1 * sim::kSecond;
-    config.orphan_abort_timeout = 800 * sim::kMillisecond;
-    config.decision_inquiry_timeout = 100 * sim::kMillisecond;
     fault::ChaosOptions opts;
     opts.num_sites = config.num_sites;
     opts.horizon = 2 * sim::kSecond;
@@ -135,16 +122,14 @@ std::vector<GoldenCase> Corpus() {
   corpus.push_back(std::move(reconfig));
 
   // The CGM baseline's centralized scheduler.
-  GoldenCase cgm{"cgm", BaseSpec("cgm", k2PC, kSn, false),
-                 0xdfdf4fca4044f8b5ull,
+  GoldenCase cgm{BaseSpec("cgm", k2PC, kSn, false), 0xdfdf4fca4044f8b5ull,
                  {EventKind::kCgmLock, EventKind::kCgmAdmission}};
   cgm.spec.config.system = workload::System::kCGM;
   cgm.spec.config.target_global_txns = 60;
   corpus.push_back(std::move(cgm));
 
   // A chaos case captured by the binary ring backend.
-  GoldenCase binary{"paxos_sn_chaos_binary",
-                    BaseSpec("paxos_sn_chaos_binary", kPaxos, kSn, true),
+  GoldenCase binary{BaseSpec("paxos_sn_chaos_binary", kPaxos, kSn, true),
                     0xc6c99137af11ec6eull,
                     {EventKind::kPaxosDecided, EventKind::kRetransmit,
                      EventKind::kMsgDrop, EventKind::kSiteCrash}};
@@ -163,24 +148,24 @@ TEST(GoldenCorpus, FingerprintDigestsAreUnchanged) {
       runner::RunAll(specs, {.workers = 4});
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   for (size_t i = 0; i < corpus.size(); ++i) {
+    const GoldenCase& c = corpus[i];
     const runner::RunOutput& run = (*out)[i];
     const uint64_t digest = Fnv1a64(runner::Fingerprint(run));
     char hex[24];
     std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, digest);
-    EXPECT_EQ(digest, corpus[i].digest)
-        << corpus[i].name << " now digests to " << hex;
+    EXPECT_EQ(digest, c.digest) << c.spec.cell << " now digests to " << hex;
 
-    if (corpus[i].targets.empty()) continue;
+    if (c.targets.empty()) continue;
     Result<std::vector<trace::Event>> events =
         run.trace_binary.empty() ? trace::ParseJsonl(run.trace_jsonl)
                                  : trace::ParseBinary(run.trace_binary);
-    ASSERT_TRUE(events.ok()) << corpus[i].name << ": "
+    ASSERT_TRUE(events.ok()) << c.spec.cell << ": "
                              << events.status().ToString();
     std::set<trace::EventKind> seen;
     for (const trace::Event& e : *events) seen.insert(e.kind);
-    for (const trace::EventKind kind : corpus[i].targets) {
+    for (const trace::EventKind kind : c.targets) {
       EXPECT_TRUE(seen.count(kind) > 0)
-          << corpus[i].name << " never emits " << trace::EventKindName(kind);
+          << c.spec.cell << " never emits " << trace::EventKindName(kind);
     }
   }
 }
